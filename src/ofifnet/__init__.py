@@ -10,6 +10,7 @@ carried state, and the two paths agree bit for bit.
 from .errors import (
     ConfigurationError,
     EngineError,
+    NonFiniteInputError,
     SignalTooShortError,
     StreamClosedError,
     UndefinedMetricError,
@@ -58,8 +59,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMIC_DELAY", "CausalityReport", "ConfigurationError", "DCT_SIZE",
     "DelayReport", "EngineError", "HOP_SIZE", "Model", "ModelConfig",
-    "DEFAULT_CONFIG", "SAMPLE_RATE", "SignalTooShortError", "StreamClosedError",
-    "StreamState", "UndefinedMetricError", "WINDOW_SIZE", "WavFormatError",
+    "DEFAULT_CONFIG", "NonFiniteInputError", "SAMPLE_RATE", "SignalTooShortError",
+    "StreamClosedError", "StreamState", "UndefinedMetricError", "WINDOW_SIZE", "WavFormatError",
     "WeightError", "build_model", "frame_signal", "init_weights", "istdct_ola",
     "loss_fn", "make_pseudo_frames", "measure_delay", "ofif_fuse", "ofif_stack",
     "param_breakdown", "param_count_of", "read_weights", "si_snr",

@@ -23,6 +23,7 @@ from . import stdct
 from .errors import (
     ConfigurationError,
     EngineError,
+    NonFiniteInputError,
     SignalTooShortError,
     StreamClosedError,
     UndefinedMetricError,
@@ -340,6 +341,7 @@ _ERROR_CODES = (
     (UsageError, "usage", 2),
     (WavFormatError, "wav", 2),
     (SignalTooShortError, "input", 2),
+    (NonFiniteInputError, "input", 2),
     (UndefinedMetricError, "metric", 2),
     (StreamClosedError, "stream", 2),
     (WeightError, "weights", 3),

@@ -17,6 +17,10 @@ class SignalTooShortError(EngineError, ValueError):
     """Input signal shorter than one analysis window."""
 
 
+class NonFiniteInputError(EngineError, ValueError):
+    """Input samples include NaN or infinity; nothing was consumed."""
+
+
 class StreamClosedError(EngineError, RuntimeError):
     """Push or flush attempted on a stream that has already been flushed."""
 

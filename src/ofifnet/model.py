@@ -29,6 +29,7 @@ from .nn import (
     BN_EPS,
     F32,
     F64,
+    FRAMES_PER_PASS,
     conv2d_out_freq,
     conv_frame_taps,
     deconv2d_out_freq,
@@ -218,7 +219,6 @@ def param_breakdown(tensors: "OrderedDict[str, np.ndarray]") -> "OrderedDict[str
 class _ConvState:
     def __init__(self):
         self.taps: np.ndarray | None = None    # (k_t, C_in, F) float64, oldest first
-        self.acc: np.ndarray | None = None     # transposed-conv scatter scratch
 
 
 class _ConvBlock:
@@ -239,44 +239,53 @@ class _ConvBlock:
         var = np.asarray(var, dtype=F64)
         if np.any(var < 0):
             raise WeightError("batch-norm running variance contains negative entries")
-        self.bn_scale = np.asarray(gamma, dtype=F64) / np.sqrt(var + BN_EPS)
-        self.bn_shift = np.asarray(beta, dtype=F64) - np.asarray(mean, dtype=F64) * self.bn_scale
-        self.slopes = None if final_tanh else np.asarray(slopes, dtype=F64)
+        bn_scale = np.asarray(gamma, dtype=F64) / np.sqrt(var + BN_EPS)
+        bn_shift = np.asarray(beta, dtype=F64) - np.asarray(mean, dtype=F64) * bn_scale
+        self.bn_scale = bn_scale[:, None]
+        self.bn_shift = bn_shift[:, None]
+        self.slopes = None if final_tanh else np.asarray(slopes, dtype=F64)[:, None]
 
     def init_state(self) -> _ConvState:
         return _ConvState()
 
-    def step(self, frame: np.ndarray, state: _ConvState) -> np.ndarray:
-        c, f_dim = frame.shape
+    def _check_channels(self, c: int) -> None:
         if c != self.c_in:
-            raise ConfigurationError(f"frame has {c} channels, block expects {self.c_in}")
-        if state.taps is None:
-            state.taps = np.zeros((self.k_t, c, f_dim), dtype=F64)
-            if self.transposed:
-                k_f = self.w64.shape[2]
-                state.acc = np.empty(
-                    (self.w64.shape[1], (f_dim - 1) * self.stride_f + k_f), dtype=F64)
-        elif self.k_t > 1:
-            state.taps[:-1] = state.taps[1:]
-        state.taps[-1] = frame
+            raise ConfigurationError(f"input has {c} channels, block expects {self.c_in}")
+
+    def _frames(self, frames: np.ndarray) -> np.ndarray:
+        """(n + k_t - 1, C_in, F) float64 history and frames -> (n, C_out, F') float32."""
         if self.transposed:
-            y = deconv_frame_taps(state.taps, self._w_taps, self.b64,
-                                  self.stride_f, self.pad_f, self.out_pad_f,
-                                  acc_buf=state.acc)
+            y = deconv_frame_taps(frames, self._w_taps, self.b64,
+                                  self.stride_f, self.pad_f, self.out_pad_f)
         else:
-            y = conv_frame_taps(state.taps, self.w64, self.b64, self.stride_f, self.pad_f)
+            y = conv_frame_taps(frames, self.w64, self.b64, self.stride_f, self.pad_f)
         y = y.astype(F32)
-        y = (y.astype(F64) * self.bn_scale[:, None] + self.bn_shift[:, None]).astype(F32)
+        y = (y.astype(F64) * self.bn_scale + self.bn_shift).astype(F32)
         y64 = y.astype(F64)
         if self.final_tanh:
             return np.tanh(y64).astype(F32)
-        return np.where(y64 >= 0, y64, self.slopes[:, None] * y64).astype(F32)
+        return np.where(y64 >= 0, y64, self.slopes * y64).astype(F32)
+
+    def step(self, frame: np.ndarray, state: _ConvState) -> np.ndarray:
+        c, f_dim = frame.shape
+        self._check_channels(c)
+        if state.taps is None:
+            state.taps = np.zeros((self.k_t, c, f_dim), dtype=F64)
+        elif self.k_t > 1:
+            state.taps[:-1] = state.taps[1:]
+        state.taps[-1] = frame
+        return self._frames(state.taps)[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Whole (C_in, F, T) map, zero history before frame 0."""
         x = np.asarray(x, dtype=F32)
-        state = self.init_state()
-        cols = [self.step(x[:, :, t], state) for t in range(x.shape[2])]
-        return np.stack(cols, axis=2)
+        c, f_dim, t_dim = x.shape
+        self._check_channels(c)
+        frames = np.zeros((self.k_t - 1 + t_dim, c, f_dim), dtype=F64)
+        frames[self.k_t - 1:] = x.transpose(2, 0, 1)
+        return np.concatenate(
+            [self._frames(frames[s:s + FRAMES_PER_PASS + self.k_t - 1]).transpose(1, 2, 0)
+             for s in range(0, t_dim, FRAMES_PER_PASS)], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +368,15 @@ class Model:
         ``mode`` overrides the configured attention mode. ``mask_override``
         bypasses the network entirely and applies the given (512, T) mask to
         the noisy spectrum, which is how the identity-mask round trip is
-        checked.
+        checked. A waveform holding NaN or infinity raises
+        ``NonFiniteInputError``.
         """
+        # imported per call, not at module level, so that a stream_push
+        # replaced on the stream module (as the benchmark's tracing does) is
+        # the one the cumulative path runs
+        from .stream import StreamState, check_finite, stream_flush, stream_push
         wave = np.asarray(wave, dtype=F32).ravel()
+        check_finite(wave)
         n_samples = len(wave)
         if n_samples < stdct.WINDOW_SIZE:
             raise SignalTooShortError(
@@ -382,7 +397,6 @@ class Model:
         if not self.dec:
             raise ConfigurationError("configuration has no decoder; inference is undefined")
         if mode == "cumulative":
-            from .stream import StreamState, stream_flush, stream_push
             state = StreamState(self)
             head = stream_push(state, self, wave)
             tail = stream_flush(state, self)

@@ -2,9 +2,13 @@
 
 Feature maps are float32 ndarrays laid out (channels, frequency, time).
 Arithmetic runs in float64 internally and results are rounded to float32 at
-each operation boundary. Batch operations over the time axis are implemented
-as a loop of the same per-frame kernels the streaming engine uses, so a batch
-run and an incremental run with carried state produce identical bits.
+each operation boundary. The kernels take n frames along a leading time
+axis, each frame a contiguous block; a streaming step is the n = 1 case of
+the same kernel. Every per-frame product is its own item of a stacked
+``np.matmul`` (never one wider GEMM, whose blocking can change the rounding)
+and every reduction runs over the same axis in the same order as the
+per-frame code, so a whole-utterance run and an incremental run with carried
+state produce identical bits.
 
 Causality conventions:
   * convolutions pad ``k_t - 1`` zero frames at the start of the time axis;
@@ -24,15 +28,10 @@ from .errors import ConfigurationError, WeightError
 F32 = np.float32
 F64 = np.float64
 
-
-def check_feature_map(x: np.ndarray) -> np.ndarray:
-    """Validate a (C, F, T) float32 feature map: 3-D, nonempty, finite."""
-    x = np.asarray(x)
-    if x.ndim != 3 or min(x.shape) < 1:
-        raise ConfigurationError(f"feature map must be 3-D (C,F,T), got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ConfigurationError("feature map contains non-finite values")
-    return np.asarray(x, dtype=F32)
+#: Whole-map forwards run the n-frame kernels on at most this many frames per
+#: call, so their temporaries (a conv's patch matrix is k_f * k_t times its
+#: input) stay a few MB however long the utterance is.
+FRAMES_PER_PASS = 32
 
 
 def _f64(x: np.ndarray) -> np.ndarray:
@@ -51,86 +50,33 @@ def deconv2d_out_freq(f_dim: int, k_f: int, s_f: int, pad_f: int, out_pad_f: int
     return (f_dim - 1) * s_f - 2 * pad_f + k_f + out_pad_f
 
 
-def _check_conv_args(x_channels, w, b, stride, pad_f):
-    if w.ndim != 4:
-        raise ConfigurationError(f"conv weight must be 4-D (C_out,C_in,k_f,k_t), got {w.shape}")
-    if w.shape[1] != x_channels:
-        raise ConfigurationError(
-            f"conv weight expects {w.shape[1]} input channels, feature map has {x_channels}")
-    if b.shape != (w.shape[0],):
-        raise ConfigurationError(f"conv bias shape {b.shape} does not match {w.shape[0]} outputs")
-    if stride[1] != 1:
-        raise ConfigurationError("time stride must be 1 for causal frame-rate preservation")
-    if pad_f < 0 or stride[0] < 1:
-        raise ConfigurationError("pad_f must be >= 0 and frequency stride >= 1")
-
-
-def conv_frame_taps(taps: np.ndarray, w64: np.ndarray, b64: np.ndarray,
+def conv_frame_taps(frames: np.ndarray, w64: np.ndarray, b64: np.ndarray,
                     s_f: int, pad_f: int) -> np.ndarray:
-    """One causal conv output frame from its k_t input taps.
+    """Causal conv output frames from their input frames.
 
-    ``taps`` is (k_t, C_in, F) float64 ordered oldest..current, zeros standing
-    in for frames before the start of the stream. Returns (C_out, F') float64.
+    ``frames`` is (n + k_t - 1, C_in, F) float64, oldest first; its first
+    k_t - 1 frames are history, zeros standing in for frames before the start
+    of the stream. Returns (n, C_out, F') float64: output frame t mixes input
+    frames t .. t + k_t - 1.
     """
-    k_t, c_in, f_dim = taps.shape
-    c_out, _, k_f, _ = w64.shape
+    t_in, c_in, f_dim = frames.shape
+    c_out, _, k_f, k_t = w64.shape
+    n = t_in - k_t + 1
     fp = f_dim + 2 * pad_f
     out_f = (fp - k_f) // s_f + 1
     if out_f < 1:
         raise ConfigurationError(
             f"conv produces empty frequency axis: F={f_dim} k_f={k_f} pad_f={pad_f}")
     if pad_f:
-        xp = np.zeros((k_t, c_in, fp), dtype=F64)
-        xp[:, :, pad_f:pad_f + f_dim] = taps
+        xp = np.zeros((t_in, c_in, fp), dtype=F64)
+        xp[:, :, pad_f:pad_f + f_dim] = frames
     else:
-        xp = taps
-    win = sliding_window_view(xp, k_f, axis=2)[:, :, ::s_f, :]   # (k_t, C_in, F', k_f)
-    patches = win.transpose(1, 3, 0, 2).reshape(c_in * k_f * k_t, out_f)
-    return w64.reshape(c_out, -1) @ patches + b64[:, None]
-
-
-def conv2d_causal(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                  stride: tuple[int, int] = (2, 1), pad_f: int = 0) -> np.ndarray:
-    """Causal 2D convolution over a (C, F, T) map.
-
-    Output frame t depends only on input frames <= t: the time axis is padded
-    with ``k_t - 1`` zero frames at the start. Frequency axis is padded by
-    ``pad_f`` on both sides and strided by ``stride[0]``.
-    """
-    x = np.asarray(x, dtype=F32)
-    w = np.asarray(w, dtype=F32)
-    b = np.asarray(b, dtype=F32)
-    _check_conv_args(x.shape[0], w, b, stride, pad_f)
-    c_out, c_in, k_f, k_t = w.shape
-    _, f_dim, t_dim = x.shape
-    w64, b64 = _f64(w), _f64(b)
-    out = np.empty((c_out, conv2d_out_freq(f_dim, k_f, stride[0], pad_f), t_dim), dtype=F32)
-    taps = np.zeros((k_t, c_in, f_dim), dtype=F64)
-    for t in range(t_dim):
-        for j in range(k_t):
-            src = t - (k_t - 1) + j
-            taps[j] = x[:, :, src] if src >= 0 else 0.0
-        out[:, :, t] = conv_frame_taps(taps, w64, b64, stride[0], pad_f).astype(F32)
-    return out
-
-
-def _check_deconv_args(x_channels, w, b, stride, pad_f, out_pad_f, f_dim):
-    if w.ndim != 4:
-        raise ConfigurationError(f"deconv weight must be 4-D (C_in,C_out,k_f,k_t), got {w.shape}")
-    if w.shape[0] != x_channels:
-        raise ConfigurationError(
-            f"deconv weight expects {w.shape[0]} input channels, feature map has {x_channels}")
-    if b.shape != (w.shape[1],):
-        raise ConfigurationError(f"deconv bias shape {b.shape} does not match {w.shape[1]} outputs")
-    if stride[1] != 1:
-        raise ConfigurationError("time stride must be 1 for causal frame-rate preservation")
-    if pad_f < 0 or not 0 <= out_pad_f < stride[0]:
-        raise ConfigurationError("require pad_f >= 0 and 0 <= out_pad_f < frequency stride")
-    out_f = deconv2d_out_freq(f_dim, w.shape[2], stride[0], pad_f, out_pad_f)
-    if out_f < 1:
-        raise ConfigurationError(
-            f"deconv output frequency size {out_f} is not positive "
-            f"(F={f_dim} k_f={w.shape[2]} stride={stride[0]} pad_f={pad_f})")
+        xp = frames
+    win = sliding_window_view(xp, (k_t, k_f), axis=(0, 2))[:, :, ::s_f]  # (n, C_in, F', k_t, k_f)
+    patches = win.transpose(0, 1, 4, 3, 2).reshape(n, c_in * k_f * k_t, out_f)
+    y = w64.reshape(c_out, -1) @ patches
+    y += b64[:, None]
+    return y
 
 
 def deconv_tap_matrices(w64: np.ndarray) -> list[np.ndarray]:
@@ -141,63 +87,39 @@ def deconv_tap_matrices(w64: np.ndarray) -> list[np.ndarray]:
         for j in range(k_t)]
 
 
-def deconv_frame_taps(taps: np.ndarray, w_taps: list[np.ndarray], b64: np.ndarray,
-                      s_f: int, pad_f: int, out_pad_f: int,
-                      acc_buf: np.ndarray | None = None) -> np.ndarray:
-    """One causal transposed-conv output frame from its k_t input taps.
+def deconv_frame_taps(frames: np.ndarray, w_taps: list[np.ndarray], b64: np.ndarray,
+                      s_f: int, pad_f: int, out_pad_f: int) -> np.ndarray:
+    """Causal transposed-conv output frames from their input frames.
 
-    Raw time index t of a stride-1 transposed convolution mixes input frames
-    t-j against kernel tap j, so evaluating only at t (never t+1..t+k_t-1)
-    is exactly the trailing-frame discard that keeps the layer causal.
+    ``frames`` is (n + k_t - 1, C_in, F) float64 as for ``conv_frame_taps``;
+    returns (n, C_out, F') float64. Raw time index t of a stride-1 transposed
+    convolution mixes input frames t-j against kernel tap j, so evaluating
+    only at t (never t+1..t+k_t-1) is exactly the trailing-frame discard that
+    keeps the layer causal.
     """
-    k_t, c_in, f_dim = taps.shape
+    t_in, c_in, f_dim = frames.shape
+    k_t = len(w_taps)
+    n = t_in - k_t + 1
     c_out = b64.shape[0]
     k_f = w_taps[0].shape[0] // c_out
     raw_len = (f_dim - 1) * s_f + k_f
-    if acc_buf is None:
-        acc = np.zeros((c_out, raw_len), dtype=F64)
-    else:
-        acc = acc_buf
-        acc.fill(0.0)
-    for j in range(k_t):
-        xk = taps[k_t - 1 - j]                                    # frame t - j
-        m = (w_taps[j] @ xk).reshape(c_out, k_f, f_dim)
-        for kf in range(k_f):
-            acc[:, kf:kf + s_f * (f_dim - 1) + 1:s_f] += m[:, kf, :]
     trim_hi = pad_f - out_pad_f
+    out_f = raw_len - pad_f - trim_hi
+    if out_f < 1:
+        raise ConfigurationError(
+            f"deconv output frequency size {out_f} is not positive "
+            f"(F={f_dim} k_f={k_f} stride={s_f} pad_f={pad_f})")
+    acc = np.zeros((n, c_out, raw_len), dtype=F64)
+    for j in range(k_t):
+        m = (w_taps[j] @ frames[k_t - 1 - j:k_t - 1 - j + n]).reshape(n, c_out, k_f, f_dim)
+        for kf in range(k_f):
+            acc[:, :, kf:kf + s_f * (f_dim - 1) + 1:s_f] += m[:, :, kf, :]
     if trim_hi >= 0:
-        y = acc[:, pad_f:raw_len - trim_hi]
+        y = acc[:, :, pad_f:raw_len - trim_hi]
     else:
-        y = np.concatenate([acc[:, pad_f:], np.zeros((c_out, -trim_hi), dtype=F64)], axis=1)
+        y = np.concatenate([acc[:, :, pad_f:], np.zeros((n, c_out, -trim_hi), dtype=F64)],
+                           axis=2)
     return y + b64[:, None]
-
-
-def deconv2d_causal(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                    stride: tuple[int, int] = (2, 1), pad_f: int = 0,
-                    out_pad_f: int = 0) -> np.ndarray:
-    """Causal transposed 2D convolution over a (C, F, T) map.
-
-    The stride-1 time axis would produce ``T + k_t - 1`` raw frames; the
-    trailing ones reach into the future and are discarded, so output frame t
-    depends only on input frames <= t. Weight layout is (C_in, C_out, k_f, k_t).
-    """
-    x = np.asarray(x, dtype=F32)
-    w = np.asarray(w, dtype=F32)
-    b = np.asarray(b, dtype=F32)
-    _, f_dim, t_dim = x.shape
-    _check_deconv_args(x.shape[0], w, b, stride, pad_f, out_pad_f, f_dim)
-    c_in, c_out, k_f, k_t = w.shape
-    w_taps, b64 = deconv_tap_matrices(_f64(w)), _f64(b)
-    out_f = deconv2d_out_freq(f_dim, k_f, stride[0], pad_f, out_pad_f)
-    out = np.empty((c_out, out_f, t_dim), dtype=F32)
-    taps = np.zeros((k_t, c_in, f_dim), dtype=F64)
-    for t in range(t_dim):
-        for j in range(k_t):
-            src = t - (k_t - 1) + j
-            taps[j] = x[:, :, src] if src >= 0 else 0.0
-        out[:, :, t] = deconv_frame_taps(taps, w_taps, b64,
-                                         stride[0], pad_f, out_pad_f).astype(F32)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,74 +219,38 @@ class BiGru:
         self.bwd = bwd
         self.hidden = fwd.hidden
         h = fwd.hidden
-        self._w_in2 = np.stack([fwd.w_in.T, bwd.w_in.T])       # (2, d, 3h)
-        self._w_rec2 = np.stack([fwd.w_rec.T, bwd.w_rec.T])    # (2, h, 3h)
-        bias2 = np.stack([fwd.bias, bwd.bias])[:, None]        # (2, 1, 3h)
+        self._w_in2 = np.stack([fwd.w_in.T, bwd.w_in.T])[:, None]          # (2, 1, d, 3h)
+        self._w_rec2 = np.stack([fwd.w_rec.T, bwd.w_rec.T])[:, None]       # (2, 1, h, 3h)
+        bias2 = np.stack([fwd.bias, bwd.bias])[:, None, None]             # (2, 1, 1, 3h)
         self._bias_rz2 = np.ascontiguousarray(bias2[..., :2 * h])
         self._bias_n2 = np.ascontiguousarray(bias2[..., 2 * h:])
 
     def frame(self, seq64: np.ndarray) -> np.ndarray:
-        """Run both directions over one (F, C) sequence; returns (F, 2h) float64.
+        """Run both directions along frequency in each of n frames.
 
-        State starts at zero in both directions every call, so the result for
-        frame t never sees any other frame.
+        ``seq64`` is (n, F, C) float64, one sequence per frame; returns
+        (n, F, 2h) float64. State starts at zero in both directions in every
+        frame, so the result for frame t never sees any other frame. The
+        frames are a stacked batch of (1, h) rows, so each frame's recurrent
+        product is the same matrix-vector call whatever n is.
         """
-        f_dim = seq64.shape[0]
+        n, f_dim, _ = seq64.shape
         h = self.hidden
-        out = np.empty((f_dim, 2 * h), dtype=F64)
-        seq2 = np.stack([seq64, seq64[::-1]])                  # (2, F, C)
-        gx2 = seq2 @ self._w_in2                               # (2, F, 3h)
-        gx2[..., :2 * h] += self._bias_rz2     # candidate bias stays inside the r product
-        hs = np.zeros((2, 1, h), dtype=F64)
+        seq2 = np.stack([seq64, seq64[:, ::-1]])                    # (2, n, F, C)
+        gx2 = seq2 @ self._w_in2                                    # (2, n, F, 3h)
+        gx_rz = gx2[..., :2 * h] + self._bias_rz2   # candidate bias stays inside the r product
+        gx_n = gx2[..., 2 * h:]
+        hs = np.zeros((2, n, 1, h), dtype=F64)
+        states = np.empty((f_dim, 2, n, 1, h), dtype=F64)
         for i in range(f_dim):
             gh = hs @ self._w_rec2
-            rz = _sigmoid(gx2[:, i:i + 1, :2 * h] + gh[..., :2 * h])
-            n = np.tanh(gx2[:, i:i + 1, 2 * h:]
-                        + rz[..., :h] * (gh[..., 2 * h:] + self._bias_n2))
-            hs = n + rz[..., h:] * (hs - n)
-            out[i, :h] = hs[0, 0]
-            out[f_dim - 1 - i, h:] = hs[1, 0]
+            rz = _sigmoid(gx_rz[:, :, i:i + 1] + gh[..., :2 * h])
+            n_gate = np.tanh(gx_n[:, :, i:i + 1] + rz[..., :h] * (gh[..., 2 * h:] + self._bias_n2))
+            hs = states[i] = n_gate + rz[..., h:] * (hs - n_gate)
+        out = np.empty((n, f_dim, 2 * h), dtype=F64)
+        out[:, :, :h] = states[:, 0, :, 0].transpose(1, 0, 2)
+        out[:, :, h:] = states[::-1, 1, :, 0].transpose(1, 0, 2)
         return out
-
-
-def bigru_frame(seq64: np.ndarray, fwd: GruParams, bwd: GruParams) -> np.ndarray:
-    """Bidirectional GRU over one frame's (F, C) sequence; returns (F, 2h) float64."""
-    if fwd.hidden == bwd.hidden and fwd.input_size == bwd.input_size:
-        return BiGru(fwd, bwd).frame(seq64)
-    f_dim = seq64.shape[0]
-    h = fwd.hidden
-    out = np.empty((f_dim, h + bwd.hidden), dtype=F64)
-    gx_f = seq64 @ fwd.w_in.T
-    gx_b = seq64[::-1] @ bwd.w_in.T
-    hf = np.zeros((1, h), dtype=F64)
-    hb = np.zeros((1, bwd.hidden), dtype=F64)
-    for i in range(f_dim):
-        hf = gru_step_pre(gx_f[i:i + 1], hf, fwd)
-        hb = gru_step_pre(gx_b[i:i + 1], hb, bwd)
-        out[i, :h] = hf[0]
-        out[f_dim - 1 - i, h:] = hb[0]
-    return out
-
-
-def bigru_over_frequency(x: np.ndarray, fwd: GruParams, bwd: GruParams) -> np.ndarray:
-    """Per-frame bidirectional GRU along frequency: (C, F, T) -> (2h, F, T).
-
-    Each time frame is processed independently (fresh zero state), which keeps
-    the op time-causal despite the frequency-axis bidirectionality.
-    """
-    x = np.asarray(x, dtype=F32)
-    c, f_dim, t_dim = x.shape
-    if fwd.input_size != c or bwd.input_size != c:
-        raise ConfigurationError(
-            f"BiGRU expects feature size {fwd.input_size}/{bwd.input_size}, map has C={c}")
-    pair = (BiGru(fwd, bwd)
-            if fwd.hidden == bwd.hidden and fwd.input_size == bwd.input_size else None)
-    out = np.empty((fwd.hidden + bwd.hidden, f_dim, t_dim), dtype=F32)
-    for t in range(t_dim):
-        seq = _f64(x[:, :, t]).T
-        res = pair.frame(seq) if pair is not None else bigru_frame(seq, fwd, bwd)
-        out[:, :, t] = res.T.astype(F32)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +365,9 @@ def causal_pool_time(x: np.ndarray, window: int, mode: str = "avg",
     ``reduce='channel'`` averages/maxes over all channels and the last
     ``window`` frames, returning (F, T); ``reduce='frequency'`` swaps the
     roles and returns (C, T). History before frame 0 counts as zeros, so the
-    average at early frames is diluted by the zero padding.
+    average at early frames is diluted by the zero padding. Each frame is
+    reduced over the same axis layout, and each window oldest first, as in
+    ``CausalPoolState``, so the streaming pools give the same bits.
     """
     x = np.asarray(x, dtype=F32)
     if mode not in ("avg", "max"):
@@ -487,17 +375,19 @@ def causal_pool_time(x: np.ndarray, window: int, mode: str = "avg",
     if reduce not in ("channel", "frequency"):
         raise ConfigurationError(f"unknown reduce axis {reduce!r}")
     c, f_dim, t_dim = x.shape
-    axis, width, n_reduced = (0, f_dim, c) if reduce == "channel" else (1, c, f_dim)
-    state = CausalPoolState(window, width)
-    out = np.empty((width, t_dim), dtype=F32)
-    for t in range(t_dim):
-        fr = _f64(x[:, :, t])
-        state.push(fr.sum(axis=axis), fr.max(axis=axis))
-        if mode == "avg":
-            out[:, t] = (state.window_sum() / (window * n_reduced)).astype(F32)
-        else:
-            out[:, t] = state.window_max().astype(F32)
-    return out
+    if reduce == "channel":     # over C: the outer axis of a streamed (C, F) frame
+        frames, axis, width, n_reduced = _f64(x).transpose(2, 0, 1), 1, f_dim, c
+    else:                       # over F: a contiguous row, as in a streamed frame
+        frames = np.ascontiguousarray(x.transpose(2, 0, 1), F64)
+        axis, width, n_reduced = 2, c, f_dim
+    hist = np.zeros((window - 1 + t_dim, width), dtype=F64)
+    hist[window - 1:] = frames.sum(axis=axis) if mode == "avg" else frames.max(axis=axis)
+    wins = sliding_window_view(hist, window, axis=0).transpose(0, 2, 1)   # (T, window, width)
+    if mode == "avg":
+        out = wins.sum(axis=1) / (window * n_reduced)
+    else:
+        out = wins.max(axis=1)
+    return np.ascontiguousarray(out.T, dtype=F32)
 
 
 def global_pool_cf(x: np.ndarray, mode: str = "avg") -> np.ndarray:
@@ -505,9 +395,6 @@ def global_pool_cf(x: np.ndarray, mode: str = "avg") -> np.ndarray:
     x = np.asarray(x, dtype=F32)
     if mode not in ("avg", "max"):
         raise ConfigurationError(f"unknown pooling mode {mode!r}")
-    t_dim = x.shape[2]
-    out = np.empty(t_dim, dtype=F32)
-    for t in range(t_dim):
-        fr = _f64(x[:, :, t])
-        out[t] = F32(fr.mean() if mode == "avg" else fr.max())
-    return out
+    c, f_dim, t_dim = x.shape
+    frames = np.ascontiguousarray(x.transpose(2, 0, 1), F64).reshape(t_dim, c * f_dim)
+    return (frames.mean(axis=1) if mode == "avg" else frames.max(axis=1)).astype(F32)

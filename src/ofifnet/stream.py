@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stdct
-from .errors import ConfigurationError, StreamClosedError
+from .errors import ConfigurationError, NonFiniteInputError, StreamClosedError
 from .nn import F32, F64
 from .ofif import make_pseudo_frames
 
@@ -139,11 +139,25 @@ class StreamState:
         return out
 
 
+def check_finite(samples: np.ndarray) -> None:
+    """Raise ``NonFiniteInputError`` if any sample is NaN or infinite."""
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise NonFiniteInputError(
+            f"{bad.size} non-finite input sample(s), first at index {bad[0]}")
+
+
 def stream_push(state: StreamState, model, chunk: np.ndarray) -> np.ndarray:
-    """Feed samples in; returns every newly finalized output sample (maybe none)."""
+    """Feed samples in; returns every newly finalized output sample (maybe none).
+
+    A chunk holding NaN or infinity raises ``NonFiniteInputError`` and leaves
+    the stream exactly as it was, so later pushes continue as if it had never
+    been made.
+    """
     if state.closed:
         raise StreamClosedError("stream already flushed; no further pushes accepted")
     chunk = np.asarray(chunk, dtype=F32).ravel()
+    check_finite(chunk)
     if chunk.size == 0:
         return np.zeros(0, dtype=F32)
     state._buf = np.concatenate([state._buf, chunk])

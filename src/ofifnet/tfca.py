@@ -277,7 +277,7 @@ class TfcaBlock:
 
         qf, kf = self._pooled_qk(x, "frequency")
         att_f = row_softmax(qf @ kf.T / np.sqrt(t_dim))
-        ff = np.einsum("fg,cgt->cft", att_f, vf.astype(F64)).astype(F32)
+        ff = (att_f @ vf.astype(F64)).astype(F32)              # one (F, F) @ (F, T) per channel
 
         qc, kc = self._pooled_qk(x, "channel")
         att_c = row_softmax(qc @ kc.T / np.sqrt(t_dim))

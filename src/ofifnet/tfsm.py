@@ -8,8 +8,10 @@ Each block runs two residual stages on a (C, F, T) map:
      a projection back to C, with the hidden state carried across frames.
 
 Stage 1 touches one frame at a time and stage 2 only looks backwards, so the
-block is strictly time-causal, and running it frame by frame with carried
-state reproduces the batch output bit for bit.
+block is strictly time-causal. The batch run does stage 1 for many frames
+per stacked pass and stage 2 as one loop over time; each frame's products
+are the same calls as in the frame-by-frame run, which therefore reproduces
+the batch output bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import BiGru, F32, F64, GruParams, gru_step
+from .nn import FRAMES_PER_PASS, BiGru, F32, F64, GruParams, gru_step, gru_step_pre
 
 
 class TfsmState:
@@ -50,28 +52,49 @@ class TfsmBlock:
     def init_state(self) -> TfsmState:
         return TfsmState()
 
+    def _check_channels(self, c: int) -> None:
+        if c != self.channels:
+            raise ConfigurationError(f"input has {c} channels, block expects {self.channels}")
+
+    def _freq_stage(self, seq: np.ndarray) -> np.ndarray:
+        """Stage 1 on n frames: (n, F, C) float64 -> (n, F, C) float32-valued float64.
+
+        The result is C-contiguous whatever the layout of ``seq``, so each
+        frame's time-GRU input product sees the same operand layout.
+        """
+        y = self._bigru.frame(seq) @ self.fproj_w.T
+        y += self.fproj_b
+        y += seq
+        return y.astype(F32).astype(F64)
+
+    def _time_out(self, inp: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+        """Stage 2's residual projection of the time-GRU state; float32."""
+        return (inp + (hidden @ self.tproj_w.T + self.tproj_b)).astype(F32)
+
     def step(self, frame: np.ndarray, state: TfsmState) -> np.ndarray:
         """One (C, F) frame through both residual stages."""
         c, f_dim = frame.shape
-        if c != self.channels:
-            raise ConfigurationError(f"frame has {c} channels, block expects {self.channels}")
-        seq = frame.astype(F64).T                                  # (F, C)
-        bi = self._bigru.frame(seq)                                # (F, 2h)
-        y1 = (seq + (bi @ self.fproj_w.T + self.fproj_b)).astype(F32)
-        inp = y1.astype(F64)
+        self._check_channels(c)
+        inp = self._freq_stage(frame.astype(F64).T[None])[0]      # (F, C)
         if state.hidden is None:
             state.hidden = np.zeros((f_dim, self.hidden), dtype=F64)
         state.hidden = gru_step(inp, state.hidden, self.time)
-        y2 = (inp + (state.hidden @ self.tproj_w.T + self.tproj_b)).astype(F32)
-        return y2.T
+        return self._time_out(inp, state.hidden).T
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Batch run over (C, F, T); a loop of the streaming steps."""
+        """Batch run over (C, F, T): stage 1 on up to ``FRAMES_PER_PASS``
+        frames per call, then the time recurrence with all bins as its batch."""
         x = np.asarray(x, dtype=F32)
         if x.ndim != 3:
             raise ConfigurationError(f"expected (C, F, T) input, got shape {x.shape}")
-        state = self.init_state()
-        out = np.empty_like(x)
-        for t in range(x.shape[2]):
-            out[:, :, t] = self.step(x[:, :, t], state)
-        return out
+        c, f_dim, t_dim = x.shape
+        self._check_channels(c)
+        seq = x.astype(F64).transpose(2, 1, 0)                     # (T, F, C)
+        inp = np.concatenate([self._freq_stage(seq[s:s + FRAMES_PER_PASS])
+                              for s in range(0, t_dim, FRAMES_PER_PASS)])
+        gx = inp @ self.time.w_in.T
+        hidden = np.empty((t_dim, f_dim, self.hidden), dtype=F64)
+        h = np.zeros((f_dim, self.hidden), dtype=F64)
+        for t in range(t_dim):
+            h = hidden[t] = gru_step_pre(gx[t], h, self.time)
+        return np.ascontiguousarray(self._time_out(inp, hidden).transpose(2, 1, 0))

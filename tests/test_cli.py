@@ -102,6 +102,20 @@ class TestEnhance:
         assert rc == 2
         assert err.startswith("ERR:wav:") and "mono" in err
 
+    @pytest.mark.parametrize("mode", ["cumulative", "offline"])
+    def test_nan_input_exit_2(self, workdir, tmp_path, capsys, mode):
+        wave = workdir["wave"].copy()
+        wave[700] = np.nan
+        src = tmp_path / "nan.wav"
+        write_wav(src, wave)
+        out = tmp_path / "o.wav"
+        rc = main(["enhance", "--in", str(src), "--out", str(out), "--mode", mode,
+                   "--weights", workdir["weights"], "--config", workdir["config"]])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("ERR:input:") and "index 700" in err
+        assert not out.exists()
+
     def test_missing_tensor_exit_3_names_it(self, workdir, tmp_path, capsys):
         tensors = read_weights(workdir["weights"])
         del tensors["tfsm.0.time.W"]

@@ -7,6 +7,7 @@ import pytest
 
 from ofifnet.errors import (
     ConfigurationError,
+    NonFiniteInputError,
     SignalTooShortError,
     UndefinedMetricError,
     WeightError,
@@ -24,6 +25,7 @@ from ofifnet.model import (
     target_mask,
     weight_layout,
 )
+from ofifnet.nn import conv_frame_taps, deconv_frame_taps
 from ofifnet.stdct import istdct_ola, stdct
 
 F32 = np.float32
@@ -69,6 +71,10 @@ class TestParamCount:
         groups = param_breakdown(tensors)
         assert sum(groups.values()) == count
         assert any(k.startswith("enc.") for k in groups)
+
+    def test_deployed_count_pinned(self):
+        # the 1.72 M that the paper quotes for the deployed model
+        assert param_count_of(init_weights(DEFAULT_CONFIG, seed=7)) == 1_720_007
 
     def test_running_stats_not_counted(self):
         tensors = init_weights(DEFAULT_CONFIG, seed=0)
@@ -129,6 +135,14 @@ class TestForward:
         err = np.linalg.norm(enhanced[inner] - wave[inner]) / np.linalg.norm(wave[inner])
         assert err <= 1e-5
 
+    @pytest.mark.parametrize("mode", ["cumulative", "offline"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, default_model, rng, mode, bad):
+        wave = rng.uniform(-1, 1, 2000).astype(F32)
+        wave[1234] = bad
+        with pytest.raises(NonFiniteInputError, match="index 1234"):
+            default_model.forward(wave, mode=mode)
+
     def test_too_short_input_rejected(self, default_model):
         with pytest.raises(SignalTooShortError):
             default_model.forward(np.zeros(100, dtype=F32))
@@ -147,6 +161,63 @@ class TestForward:
         model = Model(config, init_weights(config, seed=0))
         with pytest.raises(ConfigurationError):
             model.forward(np.zeros(1000, dtype=F32))
+
+
+def _block_and_input(model, name, rng, frames=20):
+    """A deployed conv/deconv/recurrent block and a random map of its input shape."""
+    kind, idx = name.split(".")
+    idx = int(idx)
+    blk = getattr(model, kind)[idx]
+    freqs = model.config.encoder_freqs()
+    if kind == "enc":
+        shape = (blk.c_in, freqs[idx])
+    elif kind == "tfsm":
+        shape = (blk.channels, freqs[-1])
+    else:
+        shape = (blk.c_in, freqs[-1 - idx])
+    return blk, rng.uniform(-1, 1, shape + (frames,)).astype(F32)
+
+
+CONV_BLOCKS = [f"enc.{i}" for i in range(5)] + [f"dec.{j}" for j in range(5)]
+
+
+class TestBlockForwardEqualsSteps:
+    """The whole-map kernels against the frame steps that streaming runs."""
+
+    @pytest.mark.parametrize("name", CONV_BLOCKS + [f"tfsm.{j}" for j in range(3)])
+    def test_forward_bit_identical_to_steps(self, default_model, rng, name):
+        blk, x = _block_and_input(default_model, name, rng)
+        state = blk.init_state()
+        stepped = np.stack([blk.step(x[:, :, t], state) for t in range(x.shape[2])], axis=2)
+        batch = blk.forward(x)
+        assert batch.shape == stepped.shape and batch.dtype == stepped.dtype == F32
+        assert batch.tobytes() == stepped.tobytes()
+
+    # the kernels' float64 results, before rounding to float32 can hide a changed sum order
+    @pytest.mark.parametrize("name", CONV_BLOCKS)
+    def test_conv_kernel_float64_per_frame(self, default_model, rng, name):
+        blk, x = _block_and_input(default_model, name, rng)
+        k_t, t_dim = blk.k_t, x.shape[2]
+        frames = np.concatenate([np.zeros((k_t - 1,) + x.shape[:2]),
+                                 x.transpose(2, 0, 1).astype(np.float64)])
+        if blk.transposed:
+            def kernel(v):
+                return deconv_frame_taps(v, blk._w_taps, blk.b64, blk.stride_f,
+                                         blk.pad_f, blk.out_pad_f)
+        else:
+            def kernel(v):
+                return conv_frame_taps(v, blk.w64, blk.b64, blk.stride_f, blk.pad_f)
+        whole = kernel(frames)
+        framewise = np.concatenate([kernel(frames[t:t + k_t]) for t in range(t_dim)])
+        assert whole.tobytes() == framewise.tobytes()
+
+    @pytest.mark.parametrize("j", range(3))
+    def test_bigru_float64_per_frame(self, default_model, rng, j):
+        blk, x = _block_and_input(default_model, f"tfsm.{j}", rng)
+        seq = np.ascontiguousarray(x.transpose(2, 1, 0), dtype=np.float64)   # (T, F, C)
+        whole = blk._bigru.frame(seq)
+        framewise = np.concatenate([blk._bigru.frame(seq[t:t + 1]) for t in range(len(seq))])
+        assert whole.tobytes() == framewise.tobytes()
 
 
 class TestTargetMask:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from ofifnet.errors import ConfigurationError, WeightError
+from ofifnet.model import _ConvBlock
 from ofifnet.nn import (
+    BN_EPS,
+    BiGru,
+    CausalPoolState,
     GruParams,
     batchnorm_eval,
-    bigru_over_frequency,
     causal_pool_time,
-    conv2d_causal,
-    deconv2d_causal,
     global_pool_cf,
     gru_sequence,
     gru_step,
@@ -26,19 +27,29 @@ def fmap(rng, c, f, t):
     return rng.uniform(-1.0, 1.0, (c, f, t)).astype(F32)
 
 
+def linear_conv(w, b, stride=(2, 1), pad_f=0, out_pad_f=0, transposed=False):
+    """The live conv block with identity batch norm and a slope-1 PReLU, so
+    its output is the causal (transposed) convolution alone."""
+    c = w.shape[1] if transposed else w.shape[0]
+    ones = np.ones(c)
+    return _ConvBlock(w, b, np.full(c, np.sqrt(1.0 + BN_EPS)), np.zeros(c), np.zeros(c),
+                      ones, ones, stride, pad_f, out_pad_f=out_pad_f, transposed=transposed)
+
+
 class TestConv2dCausal:
+    """Causal convolution as the live ``_ConvBlock`` computes it."""
 
     def test_encoder_entry_shape(self, rng):
         x = fmap(rng, 4, 512, 10)
         w = rng.uniform(-0.1, 0.1, (16, 4, 5, 2)).astype(F32)
         b = rng.uniform(-0.1, 0.1, 16).astype(F32)
-        assert conv2d_causal(x, w, b, stride=(2, 1), pad_f=2).shape == (16, 256, 10)
+        assert linear_conv(w, b, stride=(2, 1), pad_f=2).forward(x).shape == (16, 256, 10)
 
     def test_identity_kernel(self, rng):
         x = fmap(rng, 1, 7, 5)
         w = np.ones((1, 1, 1, 1), dtype=F32)
         b = np.zeros(1, dtype=F32)
-        y = conv2d_causal(x, w, b, stride=(1, 1), pad_f=0)
+        y = linear_conv(w, b, stride=(1, 1), pad_f=0).forward(x)
         assert np.array_equal(y, x)
 
     def test_prefix_stability_bit_exact(self, rng):
@@ -48,8 +59,8 @@ class TestConv2dCausal:
         t0 = 7
         x2 = x.copy()
         x2[:, :, t0:] += 1.0
-        y1 = conv2d_causal(x, w, b, stride=(2, 1), pad_f=2)
-        y2 = conv2d_causal(x2, w, b, stride=(2, 1), pad_f=2)
+        y1 = linear_conv(w, b, stride=(2, 1), pad_f=2).forward(x)
+        y2 = linear_conv(w, b, stride=(2, 1), pad_f=2).forward(x2)
         assert np.array_equal(y1[:, :, :t0], y2[:, :, :t0])
         assert not np.array_equal(y1[:, :, t0:], y2[:, :, t0:])
 
@@ -57,7 +68,7 @@ class TestConv2dCausal:
         x = fmap(rng, 3, 16, 4)
         w = rng.uniform(-1, 1, (5, 4, 5, 2)).astype(F32)   # expects 4 channels
         with pytest.raises(ConfigurationError):
-            conv2d_causal(x, w, np.zeros(5, dtype=F32), pad_f=2)
+            linear_conv(w, np.zeros(5, dtype=F32), pad_f=2).forward(x)
 
     def test_frequency_ladder_composes(self, rng):
         # the deployed kernel/stride/padding halve 512 bins five times to 16
@@ -66,17 +77,18 @@ class TestConv2dCausal:
             x = fmap(rng, 2, f, 3)
             w = rng.uniform(-0.1, 0.1, (2, 2, 5, 2)).astype(F32)
             b = np.zeros(2, dtype=F32)
-            f = conv2d_causal(x, w, b, stride=(2, 1), pad_f=2).shape[1]
+            f = linear_conv(w, b, stride=(2, 1), pad_f=2).forward(x).shape[1]
         assert f == 16
 
 
 class TestDeconv2dCausal:
+    """Causal transposed convolution as the live ``_ConvBlock`` computes it."""
 
     def test_decoder_doubling_shape(self, rng):
         x = fmap(rng, 128, 16, 3)
         w = rng.uniform(-0.05, 0.05, (128, 128, 5, 2)).astype(F32)
         b = np.zeros(128, dtype=F32)
-        y = deconv2d_causal(x, w, b, stride=(2, 1), pad_f=2, out_pad_f=1)
+        y = linear_conv(w, b, stride=(2, 1), pad_f=2, out_pad_f=1, transposed=True).forward(x)
         assert y.shape == (128, 32, 3)
 
     def test_mirror_back_to_512(self, rng):
@@ -84,15 +96,16 @@ class TestDeconv2dCausal:
         for _ in range(5):
             x = fmap(rng, 2, f, 2)
             w = rng.uniform(-0.1, 0.1, (2, 2, 5, 2)).astype(F32)
-            y = deconv2d_causal(x, w, np.zeros(2, dtype=F32),
-                                stride=(2, 1), pad_f=2, out_pad_f=1)
+            block = linear_conv(w, np.zeros(2, dtype=F32), stride=(2, 1), pad_f=2,
+                                out_pad_f=1, transposed=True)
+            y = block.forward(x)
             f = y.shape[1]
         assert f == 512
 
     def test_identity_kernel(self, rng):
         x = fmap(rng, 1, 9, 4)
         w = np.ones((1, 1, 1, 1), dtype=F32)
-        y = deconv2d_causal(x, w, np.zeros(1, dtype=F32), stride=(1, 1))
+        y = linear_conv(w, np.zeros(1, dtype=F32), stride=(1, 1), transposed=True).forward(x)
         assert np.array_equal(y, x)
 
     def test_prefix_stability_bit_exact(self, rng):
@@ -102,15 +115,16 @@ class TestDeconv2dCausal:
         t0 = 6
         x2 = x.copy()
         x2[:, :, t0:] *= -1.0
-        y1 = deconv2d_causal(x, w, b, pad_f=2, out_pad_f=1)
-        y2 = deconv2d_causal(x2, w, b, pad_f=2, out_pad_f=1)
+        y1 = linear_conv(w, b, pad_f=2, out_pad_f=1, transposed=True).forward(x)
+        y2 = linear_conv(w, b, pad_f=2, out_pad_f=1, transposed=True).forward(x2)
         assert np.array_equal(y1[:, :, :t0], y2[:, :, :t0])
 
     def test_negative_output_size_rejected(self, rng):
         x = fmap(rng, 1, 1, 2)
         w = rng.uniform(-1, 1, (1, 1, 5, 2)).astype(F32)
+        block = linear_conv(w, np.zeros(1, dtype=F32), stride=(2, 1), pad_f=3, transposed=True)
         with pytest.raises(ConfigurationError):
-            deconv2d_causal(x, w, np.zeros(1, dtype=F32), stride=(2, 1), pad_f=3)
+            block.forward(x)
 
 
 class TestGru:
@@ -150,13 +164,19 @@ class TestGru:
             gru_sequence(rng.uniform(-1, 1, (2, 4)), p, h0=np.zeros(5))
 
 
+def bigru_frames(x, fwd, bwd):
+    """(C, F, T) -> (2h, F, T) through the live bidirectional kernel."""
+    seq = np.asarray(x, dtype=np.float64).transpose(2, 1, 0)
+    return BiGru(fwd, bwd).frame(seq).transpose(2, 1, 0).astype(F32)
+
+
 class TestBiGruOverFrequency:
 
     def test_zero_weights_zero_output(self, rng):
         fwd = GruParams(np.zeros((6, 3)), np.zeros((6, 2)), np.zeros(6))
         bwd = GruParams(np.zeros((6, 3)), np.zeros((6, 2)), np.zeros(6))
         x = fmap(rng, 3, 5, 4)
-        out = bigru_over_frequency(x, fwd, bwd)
+        out = bigru_frames(x, fwd, bwd)
         assert out.shape == (4, 5, 4)
         assert np.all(out == 0.0)
 
@@ -167,8 +187,8 @@ class TestBiGruOverFrequency:
         t0 = 3
         x2 = x.copy()
         x2[:, :, t0] += 1.0
-        y1 = bigru_over_frequency(x, fwd, bwd)
-        y2 = bigru_over_frequency(x2, fwd, bwd)
+        y1 = bigru_frames(x, fwd, bwd)
+        y2 = bigru_frames(x2, fwd, bwd)
         others = [t for t in range(7) if t != t0]
         assert np.array_equal(y1[:, :, others], y2[:, :, others])
         assert not np.array_equal(y1[:, :, t0], y2[:, :, t0])
@@ -179,8 +199,8 @@ class TestBiGruOverFrequency:
         fwd = TestGru.random_params(rng, 3, 2)
         bwd = TestGru.random_params(rng, 3, 2)
         x = fmap(rng, 3, 6, 2)
-        y = bigru_over_frequency(x, fwd, bwd)
-        y_swap = bigru_over_frequency(x[:, ::-1, :], bwd, fwd)
+        y = bigru_frames(x, fwd, bwd)
+        y_swap = bigru_frames(x[:, ::-1, :], bwd, fwd)
         h = 2
         np.testing.assert_array_equal(y_swap[:h], y[h:, ::-1, :])
         np.testing.assert_array_equal(y_swap[h:], y[:h, ::-1, :])
@@ -317,6 +337,55 @@ class TestCausalPoolTime:
         x = fmap(rng, 3, 5, 9)
         got = causal_pool_time(x, 4, mode, reduce=reduce)
         np.testing.assert_allclose(got, naive_causal_pool(x, 4, mode, reduce), atol=1e-6)
+
+
+def streamed_pool(x, window, mode, reduce):
+    """Per-frame ``CausalPoolState`` pushes, as the attention step pools."""
+    axis, n_reduced = (0, x.shape[0]) if reduce == "channel" else (1, x.shape[1])
+    state = None
+    cols = []
+    for t in range(x.shape[2]):
+        fr = np.ascontiguousarray(x[:, :, t], dtype=np.float64)
+        s, m = fr.sum(axis=axis), fr.max(axis=axis)
+        if state is None:
+            state = CausalPoolState(window, s.shape[0])
+        state.push(s, m)
+        cols.append(state.window_sum() / (window * n_reduced) if mode == "avg"
+                    else state.window_max())
+    return np.stack(cols, axis=1).astype(F32)
+
+
+# (C, F) of the deployed attention blocks' inputs: fuse, skip.0, skip.4
+DEPLOYED_MAPS = [(4, 512), (16, 256), (128, 16)]
+
+
+class TestPoolsEqualStreamedState:
+    """The whole-map pools against the per-frame reductions the stream runs."""
+
+    @pytest.mark.parametrize("mode", ["avg", "max"])
+    @pytest.mark.parametrize("reduce", ["channel", "frequency"])
+    @pytest.mark.parametrize("cf", DEPLOYED_MAPS)
+    def test_causal_pool_time_bit_identical(self, rng, mode, reduce, cf):
+        x = fmap(rng, *cf, 20)
+        got = causal_pool_time(x, 15, mode, reduce=reduce)
+        assert got.tobytes() == streamed_pool(x, 15, mode, reduce).tobytes()
+
+    @pytest.mark.parametrize("reduce", ["channel", "frequency"])
+    def test_causal_pool_time_summation_order(self, rng, reduce):
+        # frames of +-1e10 around small ones: the float64 window sums cancel,
+        # so any other summation order shows in the float32 averages
+        x = fmap(rng, 4, 16, 40)
+        x[:, :, 0::3] += F32(1e10)
+        x[:, :, 1::3] -= F32(1e10)
+        got = causal_pool_time(x, 15, "avg", reduce=reduce)
+        assert got.tobytes() == streamed_pool(x, 15, "avg", reduce).tobytes()
+
+    @pytest.mark.parametrize("cf", DEPLOYED_MAPS)
+    def test_global_pool_cf_bit_identical(self, rng, cf):
+        x = fmap(rng, *cf, 20)
+        frames = [np.ascontiguousarray(x[:, :, t], dtype=np.float64) for t in range(20)]
+        assert global_pool_cf(x, "avg").tobytes() == F32([f.mean() for f in frames]).tobytes()
+        assert global_pool_cf(x, "max").tobytes() == F32([f.max() for f in frames]).tobytes()
 
 
 class TestGlobalPoolCF:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ofifnet.errors import ConfigurationError, StreamClosedError
+from ofifnet.errors import ConfigurationError, EngineError, NonFiniteInputError, StreamClosedError
 from ofifnet.stdct import HOP_SIZE, WINDOW_SIZE
 from ofifnet.stream import (
     StreamState,
@@ -70,6 +72,24 @@ class TestPushFlush:
         with pytest.raises(StreamClosedError):
             stream_push(state, default_model, np.zeros(10, dtype=F32))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_push_rejected_and_forgotten(self, default_model, rng, bad):
+        wave = rng.uniform(-1, 1, 1600).astype(F32)
+        chunks = np.split(wave, [300, 700, 1100])
+        poisoned = rng.uniform(-1, 1, 200).astype(F32)
+        poisoned[57] = bad
+        state = StreamState(default_model)
+        got = [stream_push(state, default_model, c) for c in chunks[:2]]
+        with pytest.raises(NonFiniteInputError) as info:
+            stream_push(state, default_model, poisoned)
+        assert isinstance(info.value, EngineError) and isinstance(info.value, ValueError)
+        got += [stream_push(state, default_model, c) for c in chunks[2:]]
+        got.append(stream_flush(state, default_model))
+        state = StreamState(default_model)
+        ref = [stream_push(state, default_model, c) for c in chunks]
+        ref.append(stream_flush(state, default_model))
+        assert np.concatenate(got).tobytes() == np.concatenate(ref).tobytes()
+
     def test_offline_mode_cannot_stream(self, offline_model):
         with pytest.raises(ConfigurationError):
             StreamState(offline_model)
@@ -89,6 +109,23 @@ class TestChunkingInvariance:
         enhanced, _ = default_model.forward(wave)
         streamed, _ = run_chunked(default_model, wave, 160)
         assert streamed.tobytes() == enhanced.tobytes()
+
+    @settings(max_examples=8, deadline=None)
+    @given(length=st.integers(WINDOW_SIZE, 3000), seed=st.integers(0, 2 ** 32 - 1),
+           chunks=st.lists(st.one_of(st.just(0), st.just(1), st.integers(0, 900)),
+                           min_size=1, max_size=30))
+    def test_irregular_chunkings_equal_forward(self, default_model, length, seed, chunks):
+        # pushes of the drawn sizes in turn, then the remainder in one push
+        wave = np.random.default_rng(seed).uniform(-1, 1, length).astype(F32)
+        state = StreamState(default_model)
+        parts, start = [], 0
+        for size in chunks:
+            parts.append(stream_push(state, default_model, wave[start:start + size]))
+            start = min(start + size, length)
+        parts.append(stream_push(state, default_model, wave[start:]))
+        parts.append(stream_flush(state, default_model))
+        enhanced, _ = default_model.forward(wave)
+        assert np.concatenate(parts).tobytes() == enhanced.tobytes()
 
     def test_emitted_samples_never_change(self, default_model, rng):
         # incremental outputs concatenate to the final output: emission is
