@@ -21,7 +21,6 @@ from .model import (
     Model,
     ModelConfig,
     DEFAULT_CONFIG,
-    build_model,
     init_weights,
     loss_fn,
     param_breakdown,
@@ -30,7 +29,7 @@ from .model import (
     target_mask,
     weight_layout,
 )
-from .ofif import make_pseudo_frames, ofif_fuse, ofif_stack
+from .ofif import make_pseudo_frames, ofif_stack
 
 # the analysis transform itself stays at ofifnet.stdct.stdct so the module
 # name keeps pointing at the module
@@ -61,8 +60,8 @@ __all__ = [
     "DelayReport", "EngineError", "HOP_SIZE", "Model", "ModelConfig",
     "DEFAULT_CONFIG", "NonFiniteInputError", "SAMPLE_RATE", "SignalTooShortError",
     "StreamClosedError", "StreamState", "UndefinedMetricError", "WINDOW_SIZE", "WavFormatError",
-    "WeightError", "build_model", "frame_signal", "init_weights", "istdct_ola",
-    "loss_fn", "make_pseudo_frames", "measure_delay", "ofif_fuse", "ofif_stack",
+    "WeightError", "frame_signal", "init_weights", "istdct_ola",
+    "loss_fn", "make_pseudo_frames", "measure_delay", "ofif_stack",
     "param_breakdown", "param_count_of", "read_weights", "si_snr",
     "stream_flush", "stream_push", "target_mask", "verify_causality",
     "weight_layout", "write_weights",

@@ -7,6 +7,9 @@ attention block before concatenating onto the decoder stream, and another
 attention block follows each decoder block except the last, whose activation
 is Tanh so the predicted mask lies in [-1, 1]. The mask multiplies the noisy
 spectrum and overlap-add synthesis returns a waveform of the input length.
+``Model.walk`` is the one place this wiring lives: a stream walks it one
+frame at a time with each block's ``step``, the offline forward walks it once
+with each block's whole-map ``forward``.
 
 Weight tensors live in a flat name -> array mapping with canonical dotted
 paths (``enc.0.conv.w`` ...); ``weight_layout`` enumerates the exact names and
@@ -361,15 +364,43 @@ class Model:
 
     # -- inference ---------------------------------------------------------------
 
-    def forward(self, wave: np.ndarray, mode: str | None = None,
-                mask_override: np.ndarray | None = None):
+    @property
+    def blocks(self) -> list:
+        """Every layer block, in the order ``walk`` first runs them."""
+        return ([self.fuse] if self.fuse is not None else []) + [
+            *self.enc, *self.tfsm, *self.skip, *self.dec, *self.dectfca]
+
+    def walk(self, x: np.ndarray, run_block) -> np.ndarray:
+        """Run the fused input through the network; returns the mask.
+
+        ``run_block(block, x)`` runs one block on its input: a stream steps
+        one (C, F) frame, the offline forward runs a whole (C, F, T) map.
+        Attention recalibrates the input, then come the encoder and the
+        recurrent blocks; each decoder block takes the decoder stream
+        concatenated with its attention-recalibrated encoder skip, and every
+        decoder block but the last is followed by an attention block.
+        """
+        if self.fuse is not None:
+            x = run_block(self.fuse, x)
+        enc_outs = []
+        for blk in self.enc:
+            x = run_block(blk, x)
+            enc_outs.append(x)
+        for blk in self.tfsm:
+            x = run_block(blk, x)
+        n = len(self.dec)
+        for j, blk in enumerate(self.dec):
+            skip = run_block(self.skip[n - 1 - j], enc_outs[n - 1 - j])
+            x = run_block(blk, np.concatenate([x, skip], axis=0))
+            if j < n - 1:
+                x = run_block(self.dectfca[j], x)
+        return x[0]
+
+    def forward(self, wave: np.ndarray, mode: str | None = None):
         """Enhance a waveform; returns (enhanced, mask) with len(enhanced) == len(wave).
 
-        ``mode`` overrides the configured attention mode. ``mask_override``
-        bypasses the network entirely and applies the given (512, T) mask to
-        the noisy spectrum, which is how the identity-mask round trip is
-        checked. A waveform holding NaN or infinity raises
-        ``NonFiniteInputError``.
+        ``mode`` overrides the configured attention mode. A waveform holding
+        NaN or infinity raises ``NonFiniteInputError``.
         """
         # imported per call, not at module level, so that a stream_push
         # replaced on the stream module (as the benchmark's tracing does) is
@@ -381,16 +412,6 @@ class Model:
         if n_samples < stdct.WINDOW_SIZE:
             raise SignalTooShortError(
                 f"need at least {stdct.WINDOW_SIZE} samples, got {n_samples}")
-        raw = stdct.frame_signal_full(wave)
-        if mask_override is not None:
-            mask = np.asarray(mask_override, dtype=F32)
-            if mask.shape != (stdct.DCT_SIZE, raw.shape[1]):
-                raise ConfigurationError(
-                    f"mask shape {mask.shape} does not match ({stdct.DCT_SIZE}, {raw.shape[1]})")
-            win = stdct.hamming_window()
-            noisy = stdct.dct_frames((win[:, None] * raw.astype(F64)).astype(F32))
-            s_hat = (mask.astype(F64) * noisy.astype(F64)).astype(F32)
-            return stdct.istdct_ola(s_hat, n_samples), mask
         mode = mode or self.config.attention_mode
         if mode not in ATTENTION_MODES:
             raise ConfigurationError(f"unknown attention mode {mode!r}")
@@ -401,32 +422,17 @@ class Model:
             head = stream_push(state, self, wave)
             tail = stream_flush(state, self)
             return np.concatenate([head, tail]), np.stack(state.mask_frames, axis=1)
-        return self._forward_offline(wave, raw)
-
-    def _forward_offline(self, wave: np.ndarray, raw: np.ndarray):
-        stacked = ofif.ofif_stack_frames(raw)
-        noisy = stacked[0]
-        x = self.fuse.forward(stacked, mode="offline") if self.fuse is not None else stacked
-        enc_outs = []
-        for blk in self.enc:
-            x = blk.forward(x)
-            enc_outs.append(x)
-        for blk in self.tfsm:
-            x = blk.forward(x)
-        d = x
-        n = len(self.dec)
-        for j, blk in enumerate(self.dec):
-            s = self.skip[n - 1 - j].forward(enc_outs[n - 1 - j], mode="offline")
-            d = blk.forward(np.concatenate([d, s], axis=0))
-            if j < n - 1:
-                d = self.dectfca[j].forward(d, mode="offline")
-        mask = d[0]
-        s_hat = (mask.astype(F64) * noisy.astype(F64)).astype(F32)
-        return stdct.istdct_ola(s_hat, len(wave)), mask
+        stacked = ofif.ofif_stack_frames(stdct.frame_signal_full(wave))
+        mask = self.walk(stacked, _run_offline)
+        s_hat = (mask.astype(F64) * stacked[0].astype(F64)).astype(F32)
+        return stdct.istdct_ola(s_hat, n_samples), mask
 
 
-def build_model(config: ModelConfig, tensors: "OrderedDict[str, np.ndarray]") -> Model:
-    return Model(config, tensors)
+def _run_offline(block, x: np.ndarray) -> np.ndarray:
+    """One block over a whole (C, F, T) map, attention in its offline realization."""
+    if isinstance(block, TfcaBlock):
+        return block.forward(x, mode="offline")
+    return block.forward(x)
 
 
 # ---------------------------------------------------------------------------

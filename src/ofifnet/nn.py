@@ -1,4 +1,4 @@
-"""Numeric building blocks: causal convolutions, GRUs, normalization, pooling.
+"""Numeric building blocks: causal convolutions, GRUs, attention softmax, pooling.
 
 Feature maps are float32 ndarrays laid out (channels, frequency, time).
 Arithmetic runs in float64 internally and results are rounded to float32 at
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, WeightError
+from .errors import ConfigurationError
 
 F32 = np.float32
 F64 = np.float64
@@ -32,6 +32,9 @@ F64 = np.float64
 #: call, so their temporaries (a conv's patch matrix is k_f * k_t times its
 #: input) stay a few MB however long the utterance is.
 FRAMES_PER_PASS = 32
+
+#: Batch-norm epsilon of the conv blocks' evaluation-mode normalization.
+BN_EPS = 1e-5
 
 
 def _f64(x: np.ndarray) -> np.ndarray:
@@ -180,30 +183,6 @@ def gru_step(x: np.ndarray, h: np.ndarray, p: GruParams) -> np.ndarray:
     return gru_step_pre(x @ p.w_in.T, h, p)
 
 
-def gru_sequence(seq: np.ndarray, p: GruParams,
-                 h0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Run a GRU over a time-major (T, d_in) sequence.
-
-    Returns (outputs (T, h) float32, final state (h,) float64). A batch run is
-    literally the loop of single steps, so it matches an incremental run with
-    carried state bit for bit.
-    """
-    seq64 = _f64(np.asarray(seq))
-    t_dim = seq64.shape[0]
-    if h0 is None:
-        h = np.zeros((1, p.hidden), dtype=F64)
-    else:
-        h0 = _f64(h0)
-        if h0.shape != (p.hidden,):
-            raise ConfigurationError(f"h0 shape {h0.shape} does not match hidden {p.hidden}")
-        h = h0[None, :].copy()
-    out = np.empty((t_dim, p.hidden), dtype=F32)
-    for t in range(t_dim):
-        h = gru_step(seq64[t:t + 1], h, p)
-        out[t] = h[0].astype(F32)
-    return out, h[0]
-
-
 class BiGru:
     """Both directions of a bidirectional GRU, stepped together as a batch of 2.
 
@@ -251,44 +230,6 @@ class BiGru:
         out[:, :, :h] = states[:, 0, :, 0].transpose(1, 0, 2)
         out[:, :, h:] = states[::-1, 1, :, 0].transpose(1, 0, 2)
         return out
-
-
-# ---------------------------------------------------------------------------
-# normalization and activations (pointwise in time => causal)
-# ---------------------------------------------------------------------------
-
-BN_EPS = 1e-5
-
-
-def batchnorm_eval(x: np.ndarray, gamma, beta, mean, var, eps: float = BN_EPS) -> np.ndarray:
-    """Evaluation-mode batch norm per channel: gamma*(x-mean)/sqrt(var+eps)+beta."""
-    x = np.asarray(x, dtype=F32)
-    gamma, beta, mean, var = (_f64(a) for a in (gamma, beta, mean, var))
-    c = x.shape[0]
-    for name, a in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
-        if a.shape != (c,):
-            raise ConfigurationError(f"batchnorm {name} shape {a.shape}, expected ({c},)")
-    if np.any(var < 0):
-        raise WeightError("batchnorm running variance contains negative entries")
-    scale = gamma / np.sqrt(var + eps)
-    shift = beta - mean * scale
-    bshape = (c,) + (1,) * (x.ndim - 1)
-    return (_f64(x) * scale.reshape(bshape) + shift.reshape(bshape)).astype(F32)
-
-
-def prelu(x: np.ndarray, slopes) -> np.ndarray:
-    """PReLU with one learned slope per channel (channel axis first)."""
-    x = np.asarray(x, dtype=F32)
-    slopes = _f64(slopes)
-    if slopes.shape != (x.shape[0],):
-        raise ConfigurationError(f"prelu slopes shape {slopes.shape}, expected ({x.shape[0]},)")
-    x64 = _f64(x)
-    bshape = (x.shape[0],) + (1,) * (x.ndim - 1)
-    return np.where(x64 >= 0, x64, slopes.reshape(bshape) * x64).astype(F32)
-
-
-def tanh_act(x: np.ndarray) -> np.ndarray:
-    return np.tanh(_f64(np.asarray(x))).astype(F32)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ pseudo frame that agrees exactly with the true future frame on its known
 support. Masking happens on the raw frame; the window is applied afterwards,
 immediately before the transform, so the taper lands where the pseudo frame
 claims to start.
+
+``ofif_stack_frames`` is the only analysis: it takes raw frames along a
+trailing time axis, and a stream calls it on one frame (n = 1) where the
+whole-utterance forward calls it on all of them.
 """
 
 from __future__ import annotations
@@ -22,52 +26,43 @@ F64 = np.float64
 NUM_CHANNELS = stdct.OVERLAP_FACTOR   # current frame + 3 pseudo future frames
 
 
-def make_pseudo_frames(frame: np.ndarray, hop: int = stdct.HOP_SIZE) -> np.ndarray:
-    """Build the 4-frame group [x_t, x~_{t+1}, x~_{t+2}, x~_{t+3}] from one raw frame.
+def make_pseudo_frames(frames: np.ndarray, hop: int = stdct.HOP_SIZE) -> np.ndarray:
+    """Build the 4-frame groups [x_t, x~_{t+1}, x~_{t+2}, x~_{t+3}] of raw frames.
 
-    Group member k is the input shifted left by k hops with the vacated tail
-    zeroed; member 0 is the input itself, bit for bit. Pure memory movement,
-    no arithmetic.
+    ``frames`` is (W, n), one raw frame per column (a single (W,) frame also
+    works); returns (4, W, n). Group member k is each frame shifted left by k
+    hops with the vacated tail zeroed; member 0 is the input itself, bit for
+    bit. Pure memory movement, no arithmetic.
     """
-    frame = np.asarray(frame, dtype=F32).ravel()
-    w = len(frame)
+    frames = np.asarray(frames, dtype=F32)
+    w = frames.shape[0]
     if hop < 1 or w != NUM_CHANNELS * hop:
         raise ConfigurationError(
             f"frame length {w} must equal {NUM_CHANNELS} hops of {hop} samples")
-    group = np.zeros((NUM_CHANNELS, w), dtype=F32)
-    group[0] = frame
+    group = np.zeros((NUM_CHANNELS,) + frames.shape, dtype=F32)
+    group[0] = frames
     for k in range(1, NUM_CHANNELS):
-        group[k, :w - k * hop] = frame[k * hop:]
+        group[k, :w - k * hop] = frames[k * hop:]
     return group
 
 
-def pseudo_channel_frames(raw_frames: np.ndarray) -> np.ndarray:
-    """Group every column of a (W, T) raw frame matrix: returns (4, W, T)."""
-    raw_frames = np.asarray(raw_frames, dtype=F32)
-    w, t_dim = raw_frames.shape
-    if w != NUM_CHANNELS * stdct.HOP_SIZE:
-        raise ConfigurationError(f"raw frames must have {stdct.WINDOW_SIZE} rows, got {w}")
-    out = np.zeros((NUM_CHANNELS, w, t_dim), dtype=F32)
-    out[0] = raw_frames
-    for k in range(1, NUM_CHANNELS):
-        shift = k * stdct.HOP_SIZE
-        out[k, :w - shift, :] = raw_frames[shift:, :]
-    return out
-
-
 def ofif_stack_frames(raw_frames: np.ndarray) -> np.ndarray:
-    """Window and transform each group member across all frames: (4, 512, T).
+    """Window and transform every group member of a (W, n) raw frame matrix: (4, 512, n).
 
-    Channel 0 goes through exactly the same windowing and transform calls as
-    plain analysis, so it equals the plain spectrogram bit for bit.
+    All 4n windowed members go through one transform product. Each column
+    of it is the same dot products whatever n is, and the tests hold a
+    stream's n = 1 calls byte-identical to a whole utterance's n = T call.
+    Channel 0 equals the plain spectrogram bit for bit.
     """
-    groups = pseudo_channel_frames(raw_frames)
-    win = stdct.hamming_window()
-    out = np.empty((NUM_CHANNELS, stdct.DCT_SIZE, raw_frames.shape[1]), dtype=F32)
-    for k in range(NUM_CHANNELS):
-        windowed = (win[:, None] * groups[k].astype(F64)).astype(F32)
-        out[k] = stdct.dct_frames(windowed)
-    return out
+    raw_frames = np.asarray(raw_frames, dtype=F32)
+    if raw_frames.ndim != 2 or raw_frames.shape[0] != stdct.WINDOW_SIZE:
+        raise ConfigurationError(
+            f"raw frames must be ({stdct.WINDOW_SIZE}, n), got {raw_frames.shape}")
+    n = raw_frames.shape[1]
+    members = make_pseudo_frames(raw_frames).transpose(1, 0, 2).reshape(stdct.WINDOW_SIZE, -1)
+    windowed = (stdct.hamming_window()[:, None] * members.astype(F64)).astype(F32)
+    spec = stdct.dct_frames(windowed).reshape(stdct.DCT_SIZE, NUM_CHANNELS, n)
+    return np.ascontiguousarray(spec.transpose(1, 0, 2))
 
 
 def ofif_stack(wave: np.ndarray) -> np.ndarray:
@@ -78,11 +73,3 @@ def ofif_stack(wave: np.ndarray) -> np.ndarray:
     current raw frame alone.
     """
     return ofif_stack_frames(stdct.frame_signal(wave, windowed=False))
-
-
-def ofif_fuse(stacked: np.ndarray, block, mode: str = "cumulative") -> np.ndarray:
-    """Recalibrate the stacked spectrum with an attention block (shape-preserving)."""
-    stacked = np.asarray(stacked, dtype=F32)
-    if stacked.ndim != 3 or stacked.shape[0] != NUM_CHANNELS:
-        raise ConfigurationError(f"stack must be ({NUM_CHANNELS}, F, T), got {stacked.shape}")
-    return block.forward(stacked, mode=mode)

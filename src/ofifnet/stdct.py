@@ -10,11 +10,16 @@ The hop/window geometry fixes the algorithmic delay of synthesis: sample n is
 final only once frame floor(n/H) has been added, and that frame needs input
 through sample floor(n/H)*H + W - 1. For hop-aligned samples the wait is
 exactly one window (512 samples, 32 ms).
+
+``OverlapAdd`` is the only synthesis: it holds one window of pending sums, so
+its memory does not grow with the signal, and each ``add`` of n frames
+returns the n hops those frames made final. A stream adds one frame at a
+time; ``istdct_ola`` adds a whole spectrogram at once. Every sample sums its
+frames' contributions in frame order either way, so both give the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,12 +36,6 @@ DCT_SIZE = 512             # N
 OVERLAP_FACTOR = WINDOW_SIZE // HOP_SIZE   # 4 adjacent frames share each sample
 ALGORITHMIC_DELAY = WINDOW_SIZE
 DENOM_FLOOR = 1e-8
-
-
-@dataclass
-class OlaDiagnostics:
-    """Synthesis edge bookkeeping: samples whose window-power sum was clamped."""
-    clamped_samples: int = 0
 
 
 @lru_cache(maxsize=4)
@@ -136,15 +135,55 @@ def stdct(wave: np.ndarray) -> np.ndarray:
     return dct_frames(frame_signal(wave))
 
 
-def istdct_ola(spec: np.ndarray, out_len: int,
-               diag: OlaDiagnostics | None = None) -> np.ndarray:
-    """Weighted overlap-add synthesis back to a waveform of ``out_len`` samples.
+class OverlapAdd:
+    """Weighted overlap-add synthesis over a fixed one-window buffer.
 
-    Each column is inverse-transformed, windowed again, summed at the hop
-    interval, and normalized pointwise by the sum of squared windows actually
-    covering each sample. Where that sum falls below 1e-8 it is clamped and
-    counted in ``diag`` (a Hamming window never triggers this in the covered
-    range).
+    Each frame is inverse-transformed, windowed again and summed at the hop
+    interval; a sample is normalized by the sum of squared windows covering
+    it once no later frame can reach it. Where that sum falls below 1e-8 it
+    is clamped and counted in ``clamped_samples`` (a Hamming window never
+    triggers this where a frame covers the sample).
+    """
+
+    def __init__(self):
+        self._win = hamming_window()
+        self._win2 = self._win * self._win
+        # sums for the next WINDOW_SIZE samples not yet returned, oldest first
+        self._acc = np.zeros(WINDOW_SIZE, dtype=F64)
+        self._den = np.zeros(WINDOW_SIZE, dtype=F64)
+        self.clamped_samples = 0
+
+    def _final(self, count: int) -> np.ndarray:
+        den = self._den[:count]
+        self.clamped_samples += int(np.count_nonzero(den < DENOM_FLOOR))
+        return (self._acc[:count] / np.maximum(den, DENOM_FLOOR)).astype(F32)
+
+    def add(self, spec: np.ndarray) -> np.ndarray:
+        """Add the n frames of a (512, n) spectrum; returns the n*H samples now final."""
+        spec = np.asarray(spec, dtype=F32)
+        if spec.ndim != 2 or spec.shape[0] != DCT_SIZE:
+            raise ConfigurationError(f"spectrum must be ({DCT_SIZE}, n), got {spec.shape}")
+        synth = dct_matrix().T @ spec.astype(F64)          # (W, n)
+        out = np.empty(spec.shape[1] * HOP_SIZE, dtype=F32)
+        for t in range(spec.shape[1]):
+            self._acc += self._win * synth[:, t]
+            self._den += self._win2
+            out[t * HOP_SIZE:(t + 1) * HOP_SIZE] = self._final(HOP_SIZE)
+            for buf in (self._acc, self._den):
+                buf[:-HOP_SIZE] = buf[HOP_SIZE:]
+                buf[-HOP_SIZE:] = 0.0
+        return out
+
+    def tail(self) -> np.ndarray:
+        """The W - H samples the last frame covers beyond its final hop."""
+        return self._final(WINDOW_SIZE - HOP_SIZE)
+
+
+def istdct_ola(spec: np.ndarray, out_len: int) -> np.ndarray:
+    """Overlap-add synthesis of a (512, T) spectrum to ``out_len`` samples.
+
+    One ``OverlapAdd`` takes all T frames, then its tail; ``out_len`` may be
+    anything up to the (T - 1)*H + W samples the frames cover.
     """
     spec = np.asarray(spec, dtype=F32)
     if spec.ndim != 2 or spec.shape[0] != DCT_SIZE:
@@ -156,16 +195,5 @@ def istdct_ola(spec: np.ndarray, out_len: int,
     if not 0 <= out_len <= cover:
         raise ConfigurationError(
             f"out_len {out_len} exceeds the {cover} samples covered by {t_dim} frames")
-    win = hamming_window()
-    win2 = win * win
-    synth = dct_matrix().T @ spec.astype(F64)          # (W, T)
-    acc = np.zeros(cover, dtype=F64)
-    den = np.zeros(cover, dtype=F64)
-    for t in range(t_dim):
-        s = t * HOP_SIZE
-        acc[s:s + WINDOW_SIZE] += win * synth[:, t]
-        den[s:s + WINDOW_SIZE] += win2
-    clamped = np.maximum(den, DENOM_FLOOR)
-    if diag is not None:
-        diag.clamped_samples += int(np.count_nonzero(den[:out_len] < DENOM_FLOOR))
-    return (acc[:out_len] / clamped[:out_len]).astype(F32)
+    ola = OverlapAdd()
+    return np.concatenate([ola.add(spec), ola.tail()])[:out_len]

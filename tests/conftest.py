@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from ofifnet import DEFAULT_CONFIG, build_model, init_weights
+from ofifnet import DEFAULT_CONFIG, Model, init_weights
 
 
 @pytest.fixture(scope="session")
 def default_model():
     """Deployed configuration with seeded random weights, streaming mode."""
-    return build_model(DEFAULT_CONFIG, init_weights(DEFAULT_CONFIG, seed=7))
+    return Model(DEFAULT_CONFIG, init_weights(DEFAULT_CONFIG, seed=7))
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +15,7 @@ def offline_model():
     """Same weights, literal full-utterance attention."""
     import dataclasses
     config = dataclasses.replace(DEFAULT_CONFIG, attention_mode="offline")
-    return build_model(config, init_weights(config, seed=7))
+    return Model(config, init_weights(config, seed=7))
 
 
 @pytest.fixture

@@ -10,14 +10,10 @@ from ofifnet.nn import (
     BiGru,
     CausalPoolState,
     GruParams,
-    batchnorm_eval,
     causal_pool_time,
     global_pool_cf,
-    gru_sequence,
     gru_step,
     masked_softmax,
-    prelu,
-    tanh_act,
 )
 
 F32 = np.float32
@@ -128,6 +124,8 @@ class TestDeconv2dCausal:
 
 
 class TestGru:
+    """The GRU cell as ``gru_step`` runs it, and the time recurrence of the live
+    ``TfsmBlock``."""
 
     @staticmethod
     def random_params(rng, d_in, hidden, scale=0.5):
@@ -138,30 +136,25 @@ class TestGru:
 
     def test_zero_weights_zero_output(self, rng):
         p = GruParams(np.zeros((6, 3)), np.zeros((6, 2)), np.zeros(6))
-        seq = rng.uniform(-1, 1, (5, 3)).astype(F32)
-        out, final = gru_sequence(seq, p)
-        assert np.all(out == 0.0) and np.all(final == 0.0)
+        h = np.zeros((4, 2))
+        for _ in range(5):
+            h = gru_step(rng.uniform(-1, 1, (4, 3)), h, p)
+            assert np.all(h == 0.0)
 
-    def test_single_step_equals_sequence_of_one(self, rng):
-        p = self.random_params(rng, 4, 3)
-        seq = rng.uniform(-1, 1, (1, 4)).astype(F32)
-        out, final = gru_sequence(seq, p)
-        h = gru_step(seq.astype(np.float64), np.zeros((1, 3)), p)
-        np.testing.assert_array_equal(out[0], h[0].astype(F32))
+    def test_single_step_equals_sequence_of_one(self, default_model, rng):
+        blk = default_model.tfsm[2]
+        x = fmap(rng, 128, 16, 1)
+        stepped = blk.step(x[:, :, 0], blk.init_state())
+        assert stepped.tobytes() == blk.forward(x)[:, :, 0].tobytes()
 
-    def test_batch_equals_incremental_bit_exact(self, rng):
-        p = self.random_params(rng, 5, 4)
-        seq = rng.uniform(-1, 1, (13, 5)).astype(F32)
-        full, final_full = gru_sequence(seq, p)
-        head, carried = gru_sequence(seq[:6], p)
-        tail, final_tail = gru_sequence(seq[6:], p, h0=carried)
-        assert np.array_equal(full, np.concatenate([head, tail]))
-        assert np.array_equal(final_full, final_tail)
-
-    def test_bad_h0_shape(self, rng):
-        p = self.random_params(rng, 4, 3)
-        with pytest.raises(ConfigurationError):
-            gru_sequence(rng.uniform(-1, 1, (2, 4)), p, h0=np.zeros(5))
+    def test_batch_equals_incremental_bit_exact(self, default_model, rng):
+        # a state carried across two runs of steps gives the one-run output
+        blk = default_model.tfsm[2]
+        x = fmap(rng, 128, 16, 13)
+        state = blk.init_state()
+        head = [blk.step(x[:, :, t], state) for t in range(6)]
+        tail = [blk.step(x[:, :, t], state) for t in range(6, 13)]
+        assert np.stack(head + tail, axis=2).tobytes() == blk.forward(x).tobytes()
 
 
 def bigru_frames(x, fwd, bwd):
@@ -206,18 +199,30 @@ class TestBiGruOverFrequency:
         np.testing.assert_array_equal(y_swap[h:], y[:h, ::-1, :])
 
 
+def pointwise_block(c, gamma=None, beta=None, mean=None, var=None, slopes=None,
+                    final_tanh=False):
+    """The live conv block with a 1x1 identity conv, so its output is its batch
+    norm and activation alone; unset statistics make the batch norm the
+    identity and an unset slope makes the PReLU the identity."""
+    ones, zeros = np.ones(c), np.zeros(c)
+    return _ConvBlock(np.eye(c).reshape(c, c, 1, 1), zeros,
+                      np.full(c, np.sqrt(1.0 + BN_EPS)) if gamma is None else gamma,
+                      zeros if beta is None else beta, zeros if mean is None else mean,
+                      ones if var is None else var, ones if slopes is None else slopes,
+                      (1, 1), 0, final_tanh=final_tanh)
+
+
 class TestBatchnormEval:
+    """Evaluation-mode batch norm as the live ``_ConvBlock`` applies it."""
 
     def test_identity_parameters(self, rng):
         x = fmap(rng, 3, 4, 5)
-        ones, zeros = np.ones(3), np.zeros(3)
-        y = batchnorm_eval(x, ones, zeros, zeros, ones, eps=0.0)
-        assert np.array_equal(y, x)
+        assert np.array_equal(pointwise_block(3).forward(x), x)
 
     def test_zero_gamma_gives_beta(self, rng):
         x = fmap(rng, 2, 3, 4)
         beta = np.array([1.5, -2.0])
-        y = batchnorm_eval(x, np.zeros(2), beta, np.zeros(2), np.ones(2))
+        y = pointwise_block(2, gamma=np.zeros(2), beta=beta).forward(x)
         assert np.allclose(y[0], 1.5) and np.allclose(y[1], -2.0)
 
     def test_matches_scalar_loop_oracle(self, rng):
@@ -226,51 +231,51 @@ class TestBatchnormEval:
         beta = rng.uniform(-1, 1, 4)
         mean = rng.uniform(-1, 1, 4)
         var = rng.uniform(0.1, 2.0, 4)
-        eps = 1e-5
-        y = batchnorm_eval(x, gamma, beta, mean, var, eps)
+        # slope 1: the PReLU passes the normalized values through
+        y = pointwise_block(4, gamma, beta, mean, var).forward(x)
         expect = np.empty_like(x, dtype=np.float64)
         for c in range(4):
             for f in range(3):
                 for t in range(6):
                     expect[c, f, t] = (gamma[c] * (float(x[c, f, t]) - mean[c])
-                                       / np.sqrt(var[c] + eps) + beta[c])
+                                       / np.sqrt(var[c] + BN_EPS) + beta[c])
         np.testing.assert_allclose(y, expect, atol=1e-6)
 
-    def test_negative_variance_rejected(self, rng):
-        x = fmap(rng, 2, 2, 2)
+    def test_negative_variance_rejected(self):
         with pytest.raises(WeightError):
-            batchnorm_eval(x, np.ones(2), np.zeros(2), np.zeros(2), np.array([1.0, -0.1]))
+            pointwise_block(2, var=np.array([1.0, -0.1]))
 
     def test_pointwise_time_permutation(self, rng):
         x = fmap(rng, 3, 4, 8)
         perm = rng.permutation(8)
-        args = (rng.uniform(0.5, 2, 3), rng.uniform(-1, 1, 3),
-                rng.uniform(-1, 1, 3), rng.uniform(0.1, 2, 3))
-        assert np.array_equal(batchnorm_eval(x[:, :, perm], *args),
-                              batchnorm_eval(x, *args)[:, :, perm])
+        blk = pointwise_block(3, rng.uniform(0.5, 2, 3), rng.uniform(-1, 1, 3),
+                              rng.uniform(-1, 1, 3), rng.uniform(0.1, 2, 3))
+        assert np.array_equal(blk.forward(x[:, :, perm]), blk.forward(x)[:, :, perm])
 
 
 class TestActivations:
+    """PReLU and the final Tanh as the live ``_ConvBlock`` applies them."""
 
     def test_prelu_slope_one_identity(self, rng):
         x = fmap(rng, 3, 4, 5)
-        assert np.array_equal(prelu(x, np.ones(3)), x)
+        assert np.array_equal(pointwise_block(3, slopes=np.ones(3)).forward(x), x)
 
     def test_prelu_negative_value(self):
         x = np.full((1, 1, 1), -2.0, dtype=F32)
-        assert prelu(x, np.array([0.25]))[0, 0, 0] == F32(-0.5)
+        assert pointwise_block(1, slopes=np.array([0.25])).forward(x)[0, 0, 0] == F32(-0.5)
 
     def test_tanh_zero_and_range(self, rng):
-        assert tanh_act(np.zeros((1, 1, 1), dtype=F32))[0, 0, 0] == 0.0
-        y = tanh_act(fmap(rng, 2, 3, 4) * 50.0)
+        blk = pointwise_block(2, final_tanh=True)
+        assert np.all(blk.forward(np.zeros((2, 1, 1), dtype=F32)) == 0.0)
+        y = blk.forward(fmap(rng, 2, 3, 4) * 50.0)
         assert np.all(y >= -1.0) and np.all(y <= 1.0)
 
     def test_pointwise_time_permutation(self, rng):
         x = fmap(rng, 2, 3, 9)
         perm = rng.permutation(9)
-        slope = rng.uniform(0, 1, 2)
-        assert np.array_equal(prelu(x[:, :, perm], slope), prelu(x, slope)[:, :, perm])
-        assert np.array_equal(tanh_act(x[:, :, perm]), tanh_act(x)[:, :, perm])
+        for blk in (pointwise_block(2, slopes=rng.uniform(0, 1, 2)),
+                    pointwise_block(2, final_tanh=True)):
+            assert np.array_equal(blk.forward(x[:, :, perm]), blk.forward(x)[:, :, perm])
 
 
 class TestMaskedSoftmax:

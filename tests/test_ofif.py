@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ofifnet.errors import ConfigurationError
-from ofifnet.ofif import make_pseudo_frames, ofif_fuse, ofif_stack
+from ofifnet.ofif import make_pseudo_frames, ofif_stack, ofif_stack_frames
 from ofifnet.stdct import HOP_SIZE, WINDOW_SIZE, frame_signal, stdct
 from ofifnet.tfca import TFCA_PARAM_SHAPES, TfcaBlock
 
@@ -33,13 +33,13 @@ class TestMakePseudoFrames:
         wave = rng.uniform(-1, 1, 4000).astype(F32)
         raw = frame_signal(wave, windowed=False)
         t_dim = raw.shape[1]
+        groups = make_pseudo_frames(raw)
         for t in range(t_dim):
-            group = make_pseudo_frames(raw[:, t])
             for k in range(1, 4):
                 known = (4 - k) * HOP_SIZE
-                assert np.all(group[k, known:] == 0.0)
+                assert np.all(groups[k, known:, t] == 0.0)
                 if t + k < t_dim:
-                    np.testing.assert_array_equal(group[k, :known], raw[:known, t + k])
+                    np.testing.assert_array_equal(groups[k, :known, t], raw[:known, t + k])
 
 
 class TestOfifStack:
@@ -52,6 +52,13 @@ class TestOfifStack:
     def test_one_second_shape(self, rng):
         wave = rng.uniform(-1, 1, 16000).astype(F32)
         assert ofif_stack(wave).shape == (4, 512, 122)
+
+    def test_frame_calls_bit_identical_to_whole(self, rng):
+        # the stream's n = 1 call and the offline forward's n = T call
+        raw = frame_signal(rng.uniform(-1, 1, 16000).astype(F32), windowed=False)
+        whole = ofif_stack_frames(raw)
+        for t in range(raw.shape[1]):
+            assert ofif_stack_frames(raw[:, t:t + 1])[:, :, 0].tobytes() == whole[:, :, t].tobytes()
 
     def test_no_extra_lookahead(self, rng):
         # every channel's column t sees only samples <= t*H + W - 1
@@ -76,19 +83,20 @@ def random_tfca(rng, channels, zero_bias=False):
 
 
 class TestOfifFuse:
+    """Fusion of the stack by the attention block the model runs first."""
 
     def test_shape_preserved(self, rng):
         wave = rng.uniform(-1, 1, 2000).astype(F32)
         stacked = ofif_stack(wave)
         block = random_tfca(rng, 4)
-        fused = ofif_fuse(stacked, block, mode="cumulative")
+        fused = block.forward(stacked, mode="cumulative")
         assert fused.shape == stacked.shape
 
     def test_zero_input_zero_output_with_zero_biases(self, rng):
         block = random_tfca(rng, 4, zero_bias=True)
         x = np.zeros((4, 64, 6), dtype=F32)
-        assert np.all(ofif_fuse(x, block, mode="cumulative") == 0.0)
-        assert np.all(ofif_fuse(x, block, mode="offline") == 0.0)
+        assert np.all(block.forward(x, mode="cumulative") == 0.0)
+        assert np.all(block.forward(x, mode="offline") == 0.0)
 
     def test_streaming_fuse_prefix_stable(self, rng):
         block = random_tfca(rng, 4)
@@ -102,4 +110,4 @@ class TestOfifFuse:
     def test_wrong_channel_count_rejected(self, rng):
         block = random_tfca(rng, 4)
         with pytest.raises(ConfigurationError):
-            ofif_fuse(rng.uniform(-1, 1, (3, 16, 4)).astype(F32), block)
+            block.forward(rng.uniform(-1, 1, (3, 16, 4)).astype(F32))

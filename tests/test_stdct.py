@@ -7,7 +7,7 @@ from ofifnet.errors import ConfigurationError, SignalTooShortError
 from ofifnet.stdct import (
     DCT_SIZE,
     HOP_SIZE,
-    OlaDiagnostics,
+    OverlapAdd,
     WINDOW_SIZE,
     dct_frames,
     dct_matrix,
@@ -150,10 +150,19 @@ class TestIstdctOla:
             istdct_ola(spec, 2 * HOP_SIZE + WINDOW_SIZE + 1)
 
     def test_hamming_never_clamps(self, rng):
-        diag = OlaDiagnostics()
-        spec = rng.uniform(-1, 1, (512, 4)).astype(F32)
-        istdct_ola(spec, 3 * HOP_SIZE + WINDOW_SIZE, diag=diag)
-        assert diag.clamped_samples == 0
+        ola = OverlapAdd()
+        ola.add(rng.uniform(-1, 1, (512, 4)).astype(F32))
+        ola.tail()
+        assert ola.clamped_samples == 0
+
+    # 0, inside the last frame's own hop, inside the tail, all 1536 covered samples
+    @pytest.mark.parametrize("out_len", [0, 9 * HOP_SIZE - 37, 1300, 8 * HOP_SIZE + WINDOW_SIZE])
+    def test_equals_frame_by_frame_adds(self, rng, out_len):
+        spec = rng.uniform(-1, 1, (512, 9)).astype(F32)
+        ola = OverlapAdd()
+        parts = [ola.add(spec[:, t:t + 1]) for t in range(9)] + [ola.tail()]
+        assert all(len(p) == HOP_SIZE for p in parts[:-1])
+        assert istdct_ola(spec, out_len).tobytes() == np.concatenate(parts)[:out_len].tobytes()
 
     def test_delay_constant_is_one_window(self):
         # the structural claim; the live measurement happens in the stream tests

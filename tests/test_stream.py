@@ -90,6 +90,15 @@ class TestPushFlush:
         ref.append(stream_flush(state, default_model))
         assert np.concatenate(got).tobytes() == np.concatenate(ref).tobytes()
 
+    def test_overlap_add_buffer_fixed_size(self, default_model, rng):
+        state = StreamState(default_model)
+        stream_push(state, default_model, rng.uniform(-1, 1, WINDOW_SIZE).astype(F32))
+        assert state.frame_index == 1
+        held = (state._ola._acc.nbytes, state._ola._den.nbytes)
+        stream_push(state, default_model, rng.uniform(-1, 1, 199 * HOP_SIZE).astype(F32))
+        assert state.frame_index == 200
+        assert (state._ola._acc.nbytes, state._ola._den.nbytes) == held
+
     def test_offline_mode_cannot_stream(self, offline_model):
         with pytest.raises(ConfigurationError):
             StreamState(offline_model)
