@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import struct
 import sys
@@ -160,8 +161,8 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    if args.chunk_ms <= 0:
-        raise UsageError("--chunk-ms must be a positive number of milliseconds")
+    if not (math.isfinite(args.chunk_ms) and args.chunk_ms > 0):
+        raise UsageError("--chunk-ms must be a positive, finite number of milliseconds")
     chunk = int(round(args.chunk_ms * stdct.SAMPLE_RATE / 1000.0))
     if chunk < 1:
         raise UsageError(f"--chunk-ms {args.chunk_ms} is below one sample")
@@ -186,6 +187,10 @@ def cmd_stream(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
+    # each trial splits the signal at a sample in [W, length - H)
+    min_length = stdct.WINDOW_SIZE + stdct.HOP_SIZE + 1
+    if args.length < min_length:
+        raise UsageError(f"--length must be at least {min_length} samples")
     if args.weights is not None:
         model = _load_model(args.weights, args.config, args.mode)
     else:
@@ -274,6 +279,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def non_negative_int(text: str) -> int:
+    """Type of the seed flags: numpy's generators take non-negative integers only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="ofifnet", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -298,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="causality and delay verification trials")
     pv.add_argument("--weights", default=None)
     pv.add_argument("--config", default=None)
-    pv.add_argument("--random-seed", type=int, default=0,
+    pv.add_argument("--random-seed", type=non_negative_int, default=0,
                     help="seed for trials, and for weights when --weights is omitted")
     pv.add_argument("--trials", type=int, required=True)
     pv.add_argument("--mode", choices=["offline", "cumulative"], default=None)
@@ -309,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("weights", help="weight-file tooling")
     wsub = pw.add_subparsers(dest="weights_cmd", required=True)
     wi = wsub.add_parser("init", help="write seeded random weights")
-    wi.add_argument("--seed", type=int, required=True)
+    wi.add_argument("--seed", type=non_negative_int, required=True)
     wi.add_argument("--out", required=True)
     wi.add_argument("--config", default=None)
     wi.add_argument("--config-out", default=None)

@@ -13,7 +13,8 @@ state produce identical bits.
 Causality conventions:
   * convolutions pad ``k_t - 1`` zero frames at the start of the time axis;
   * transposed convolutions drop the trailing ``k_t - 1`` raw frames;
-  * pooling windows reach backwards only, with zero history before frame 0.
+  * the one causal pooling kernel, ``causal_pool_time``, reaches backwards
+    only, with zero history before frame 0.
 """
 
 from __future__ import annotations
@@ -273,69 +274,25 @@ def softmax_1d(scores: np.ndarray) -> np.ndarray:
 # causal pooling
 # ---------------------------------------------------------------------------
 
-class CausalPoolState:
-    """The last ``window`` per-frame reductions, oldest first, zero-filled history.
+def causal_pool_time(rows: np.ndarray, window: int) -> np.ndarray:
+    """Trailing-window pooling of n frames from their per-frame reductions.
 
-    Rows are kept in arrival order so the float summation order is identical
-    no matter how the stream was chunked.
+    ``rows`` is (window - 1 + n, 2, width) float64, oldest first: row r holds
+    one frame's sums (``[r, 0]``) and maxes (``[r, 1]``) over a reduced axis,
+    and the first window - 1 rows are history, zeros standing in for frames
+    before the start of the stream. Returns (n, 2, width) float64: for frame
+    t the sum of rows t .. t + window - 1, added oldest first, and their max.
+    A window is the same rows in the same order however the frames were
+    split into calls, so a stream pooling one frame at a time gets the bits
+    of one call over the whole map. ``rows`` must be C-contiguous; the
+    windows are strided views of it, which cost no more than a plain
+    reduction at n = 1.
     """
-
-    def __init__(self, window: int, width: int):
-        if window < 1:
-            raise ConfigurationError("pooling window must be >= 1")
-        self._sums = np.zeros((window, width), dtype=F64)
-        self._maxes = np.zeros((window, width), dtype=F64)
-
-    def push(self, frame_sum: np.ndarray, frame_max: np.ndarray) -> None:
-        self._sums[:-1] = self._sums[1:]
-        self._sums[-1] = frame_sum
-        self._maxes[:-1] = self._maxes[1:]
-        self._maxes[-1] = frame_max
-
-    def window_sum(self) -> np.ndarray:
-        return self._sums.sum(axis=0)
-
-    def window_max(self) -> np.ndarray:
-        return self._maxes.max(axis=0)
-
-
-def causal_pool_time(x: np.ndarray, window: int, mode: str = "avg",
-                     reduce: str = "channel") -> np.ndarray:
-    """Pool a (C, F, T) map over a trailing time window and one full axis.
-
-    ``reduce='channel'`` averages/maxes over all channels and the last
-    ``window`` frames, returning (F, T); ``reduce='frequency'`` swaps the
-    roles and returns (C, T). History before frame 0 counts as zeros, so the
-    average at early frames is diluted by the zero padding. Each frame is
-    reduced over the same axis layout, and each window oldest first, as in
-    ``CausalPoolState``, so the streaming pools give the same bits.
-    """
-    x = np.asarray(x, dtype=F32)
-    if mode not in ("avg", "max"):
-        raise ConfigurationError(f"unknown pooling mode {mode!r}")
-    if reduce not in ("channel", "frequency"):
-        raise ConfigurationError(f"unknown reduce axis {reduce!r}")
-    c, f_dim, t_dim = x.shape
-    if reduce == "channel":     # over C: the outer axis of a streamed (C, F) frame
-        frames, axis, width, n_reduced = _f64(x).transpose(2, 0, 1), 1, f_dim, c
-    else:                       # over F: a contiguous row, as in a streamed frame
-        frames = np.ascontiguousarray(x.transpose(2, 0, 1), F64)
-        axis, width, n_reduced = 2, c, f_dim
-    hist = np.zeros((window - 1 + t_dim, width), dtype=F64)
-    hist[window - 1:] = frames.sum(axis=axis) if mode == "avg" else frames.max(axis=axis)
-    wins = sliding_window_view(hist, window, axis=0).transpose(0, 2, 1)   # (T, window, width)
-    if mode == "avg":
-        out = wins.sum(axis=1) / (window * n_reduced)
-    else:
-        out = wins.max(axis=1)
-    return np.ascontiguousarray(out.T, dtype=F32)
-
-
-def global_pool_cf(x: np.ndarray, mode: str = "avg") -> np.ndarray:
-    """Pool each frame over all channels and frequencies: (C, F, T) -> (T,)."""
-    x = np.asarray(x, dtype=F32)
-    if mode not in ("avg", "max"):
-        raise ConfigurationError(f"unknown pooling mode {mode!r}")
-    c, f_dim, t_dim = x.shape
-    frames = np.ascontiguousarray(x.transpose(2, 0, 1), F64).reshape(t_dim, c * f_dim)
-    return (frames.mean(axis=1) if mode == "avg" else frames.max(axis=1)).astype(F32)
+    n_rows, _, width = rows.shape
+    n = n_rows - window + 1
+    s_row, s_stat, s_col = rows.strides
+    out = np.empty((n, 2, width), dtype=F64)
+    for k, reduce in enumerate((np.add, np.maximum)):
+        wins = np.ndarray((n, window, width), F64, rows, k * s_stat, (s_row, s_row, s_col))
+        reduce.reduce(wins, axis=1, out=out[:, k])
+    return out

@@ -37,16 +37,6 @@ WINDOW = stdct.WINDOW_SIZE
 HOP = stdct.HOP_SIZE
 
 
-@dataclass
-class Emission:
-    """One emission event: which samples came out and what input they cost."""
-    start: int
-    count: int
-    consumed_at_emission: int
-    required_consumed: int       # structural requirement, chunking-independent
-    during_flush: bool = False
-
-
 class StreamState:
     """Private per-stream state; a model may serve many streams concurrently."""
 
@@ -63,7 +53,11 @@ class StreamState:
         self.frame_index = 0
         self._buf = np.zeros(0, dtype=F32)
         self._ola = OverlapAdd()
-        self.emissions: list[Emission] = []
+        # steady-state emission latency so far, in samples: each frame's hop
+        # block comes out when the frame is processed, outside the flush
+        self.max_latency = 0              # consumed input minus the block's first sample
+        self.structural_latency = 0       # same, with the input the frame requires
+        self.first_emission_consumed: int | None = None
         self.mask_frames: list[np.ndarray] = []
         self._block_states = {blk: blk.init_state() for blk in model.blocks}
 
@@ -80,9 +74,12 @@ class StreamState:
         self.mask_frames.append(mask)
         s_hat = (mask.astype(F64) * spec4[0].astype(F64)).astype(F32)
         out = self._ola.add(s_hat[:, None])
-        self.emissions.append(Emission(
-            start=t * HOP, count=HOP, consumed_at_emission=self.consumed,
-            required_consumed=t * HOP + WINDOW, during_flush=during_flush))
+        if not during_flush:
+            start, required_consumed = t * HOP, t * HOP + WINDOW
+            self.max_latency = max(self.max_latency, self.consumed - start)
+            self.structural_latency = max(self.structural_latency, required_consumed - start)
+            if self.first_emission_consumed is None:
+                self.first_emission_consumed = self.consumed
         self.emitted += HOP
         return out
 
@@ -142,10 +139,6 @@ def stream_flush(state: StreamState, model) -> np.ndarray:
         outs.append(state._process_frame(model, frame, during_flush=True))
     if state.emitted < total:
         tail = state._ola.tail()[:total - state.emitted]
-        state.emissions.append(Emission(
-            start=state.emitted, count=total - state.emitted,
-            consumed_at_emission=state.consumed,
-            required_consumed=state.consumed, during_flush=True))
         state.emitted = total
         outs.append(tail)
     elif state.emitted > total:
@@ -186,13 +179,12 @@ def _run_stream(model, wave: np.ndarray, chunk: int):
 
 
 def delay_from_emissions(state: StreamState) -> DelayReport:
-    mid = [e for e in state.emissions if not e.during_flush]
-    if not mid:
+    """The latency of a stream's emissions outside its flush."""
+    if state.first_emission_consumed is None:
         raise ConfigurationError("no steady-state emissions; feed at least one window")
-    return DelayReport(
-        max_latency=max(e.consumed_at_emission - e.start for e in mid),
-        structural_latency=max(e.required_consumed - e.start for e in mid),
-        first_emission_consumed=mid[0].consumed_at_emission)
+    return DelayReport(max_latency=state.max_latency,
+                       structural_latency=state.structural_latency,
+                       first_emission_consumed=state.first_emission_consumed)
 
 
 def measure_delay(model, num_samples: int = 4 * WINDOW, chunk: int = HOP) -> DelayReport:

@@ -7,16 +7,24 @@ convolution merges them:
     pooling over (C, F); the T x T score matrix is lower-triangular masked
     before its softmax (no scale factor), so frame t attends to frames <= t.
   * frequency / channel branches — queries/keys come from trailing-window
-    avg+max pooling over time plus a full reduction of the other axis. Two
-    attention realizations exist:
-      - ``offline``: one softmax(Q K^T / sqrt(T)) over the whole utterance.
-        This mixes future frames into every output frame.
-      - ``cumulative``: at frame t the score sum runs over frames 0..t only,
-        scaled by sqrt(t+1); the final frame reproduces the offline matrix.
-        This is the strictly causal realization the streaming engine uses.
+    avg+max pooling over time plus a full reduction of the other axis.
 
 Value paths are per-branch 1x1 convolutions; all branch outputs concatenate
 into a 1x1 fusion convolution. Shapes are preserved end to end.
+
+Everything a frame contributes on its own — the three branches' values, the
+time query and key, and the pooled frequency and channel queries and keys —
+is one projection, ``TfcaBlock.project``, over n frames with carried pooling
+rows: a stream's ``step`` calls it at n = 1, the offline forward once at
+n = T, and both get the same bits. Only the attention itself has two
+realizations:
+  - ``offline``: the T x T masked time softmax, and one
+    softmax(Q K^T / sqrt(T)) per frequency/channel branch over the whole
+    utterance. This mixes future frames into every output frame.
+  - ``cumulative``: at frame t the time softmax runs over the keys so far,
+    and the frequency/channel score sums over frames 0..t only, scaled by
+    sqrt(t+1); the final frame reproduces the offline matrices. This is the
+    strictly causal realization the streaming engine uses.
 """
 
 from __future__ import annotations
@@ -24,16 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import (
-    CausalPoolState,
-    F32,
-    F64,
-    causal_pool_time,
-    global_pool_cf,
-    masked_softmax,
-    row_softmax,
-    softmax_1d,
-)
+from .nn import F32, F64, causal_pool_time, masked_softmax, row_softmax, softmax_1d
 
 MODES = ("cumulative", "offline")
 
@@ -92,14 +91,17 @@ class _GrowBuf:
 
 
 class TfcaState:
-    """Per-stream attention state: pooling windows, running score sums, histories."""
+    """Per-stream attention state: pooling rows, running score sums, histories."""
 
     def __init__(self, channels: int, window: int):
         self.count = 0
         self.channels = channels
         self.window = window
-        self.pool_f: CausalPoolState | None = None
-        self.pool_c = CausalPoolState(window, channels)
+        # (window, 2, width) pooling rows for the frequency (sums and maxes
+        # over C) and channel (over F) branches: the last window - 1 frames'
+        # rows, oldest first, then the current frame's
+        self.pool_f: np.ndarray | None = None
+        self.pool_c = np.zeros((window, 2, channels), dtype=F64)
         self.score_f: np.ndarray | None = None
         self.score_c = np.zeros((channels, channels), dtype=F64)
         self.bound_f = 0.0            # running bound on |score| entries per branch
@@ -114,15 +116,27 @@ class TfcaState:
         self.cat64: np.ndarray | None = None
         self.ft_buf: np.ndarray | None = None
 
-    def _lazy_init(self, f_dim: int) -> None:
+    def next_frame(self, f_dim: int) -> int:
+        """Start frame ``count`` (returned): drop the oldest pooling rows.
+
+        The first frame fixes the frequency size for the life of the stream.
+        """
         if self.pool_f is None:
-            self.pool_f = CausalPoolState(self.window, f_dim)
+            self.pool_f = np.zeros((self.window, 2, f_dim), dtype=F64)
             self.score_f = np.zeros((f_dim, f_dim), dtype=F64)
             self.value_hist = _GrowBuf(self.channels * f_dim)
             self.scratch_f = np.empty((f_dim, f_dim), dtype=F64)
             self.outer_f = np.empty((f_dim, f_dim), dtype=F64)
             self.cat64 = np.empty((3 * self.channels, f_dim), dtype=F64)
             self.ft_buf = np.empty(self.channels * f_dim, dtype=F64)
+        elif f_dim != self.pool_f.shape[2]:
+            raise ConfigurationError(
+                f"frame has {f_dim} frequency bins, the stream started with "
+                f"{self.pool_f.shape[2]}")
+        self.pool_f[:-1] = self.pool_f[1:]
+        self.pool_c[:-1] = self.pool_c[1:]
+        self.count += 1
+        return self.count - 1
 
 
 class TfcaBlock:
@@ -140,7 +154,10 @@ class TfcaBlock:
                 raise ConfigurationError(
                     f"attention tensor {name} has shape {arr.shape}, expected {want}")
             setattr(self, "_" + name.replace(".", "_"), arr)
-        # fused projections: q and k in one 2x2 matmul, all three values in one
+        # fused projections: each branch's q and k together, all three values
+        # in one matmul; the time q and k stay elementwise products
+        self._tqk_w = np.stack([self._tq_w, self._tk_w], axis=1)    # [avg, max] rows
+        self._tqk_b = np.concatenate([self._tq_b, self._tk_b])
         self._fqk_w = np.stack([self._fq_w, self._fk_w])
         self._fqk_b = np.stack([self._fq_b, self._fk_b])
         self._cqk_w = np.stack([self._cq_w, self._ck_w])
@@ -148,29 +165,50 @@ class TfcaBlock:
         self._v_w = np.concatenate([self._vt_w, self._vf_w, self._vc_w], axis=0)
         self._v_b = np.concatenate([self._vt_b, self._vf_b, self._vc_b])[:, None]
 
-    # -- shared query/key math ------------------------------------------------
+    def _check_shape(self, shape: tuple[int, ...], ndim: int) -> None:
+        if len(shape) != ndim or shape[0] != self.channels or shape[1] < 1:
+            dims = "F" if ndim == 2 else "F, T"
+            raise ConfigurationError(
+                f"expected ({self.channels}, {dims}) input with F >= 1, got shape {shape}")
 
-    def _time_qk_frame(self, x64: np.ndarray) -> tuple[float, float]:
-        # pooled statistics round to float32 like the standalone pooling ops,
-        # so the offline and cumulative realizations see identical inputs
-        ga, gm = F32(x64.mean()), F32(x64.max())
-        q = self._tq_w[0] * ga + self._tq_w[1] * gm + self._tq_b[0]
-        k = self._tk_w[0] * ga + self._tk_w[1] * gm + self._tk_b[0]
-        return q, k
+    # -- the per-frame projection, shared by both realizations -------------------
 
-    def _axis_qk(self, avg: np.ndarray, mx: np.ndarray, axis: str):
-        w, b = (self._fqk_w, self._fqk_b) if axis == "frequency" else (self._cqk_w, self._cqk_b)
-        stacked = np.stack([avg, mx])
-        if avg.ndim == 1:
-            qk = w @ stacked + b
-        else:
-            qk = np.tensordot(w, stacked, axes=([1], [0])) + b[..., None]
-        return qk[0], qk[1]
+    def project(self, x64: np.ndarray, pool_f: np.ndarray, pool_c: np.ndarray):
+        """Values, queries and keys of n frames.
 
-    def _values_frame(self, x64: np.ndarray):
-        v = (self._v_w @ x64 + self._v_b).astype(F32)
-        c = self.channels
-        return v[:c], v[c:2 * c], v[2 * c:]
+        ``x64`` is (n, C, F) float64, C-contiguous. ``pool_f`` is
+        (window - 1 + n, 2, F) and ``pool_c`` (window - 1 + n, 2, C), the
+        pooling rows of ``causal_pool_time`` with the window - 1 frames before
+        these as history; their last n rows are overwritten with these frames'
+        sums and maxes over C and over F. Returns the three branches' values
+        (n, 3C, F) float32, the time query and key (n, 2), and the frequency
+        and channel queries and keys (n, 2, F) and (n, 2, C), float64. Each
+        frame's products and reductions are the same calls whatever n is.
+        """
+        n, c, f_dim = x64.shape
+        start = self.pool_window - 1
+        v = self._v_w @ x64
+        v += self._v_b
+        # time: scalar q/k per frame from the frame's mean and max over (C, F),
+        # rounded to float32 like every pooled statistic (the ufuncs' own
+        # reductions: the array methods cost a Python call more per frame)
+        flat = x64.reshape(n, c * f_dim)
+        avg = (np.add.reduce(flat, axis=1, keepdims=True) / (c * f_dim)).astype(F32)
+        mx = np.maximum.reduce(flat, axis=1, keepdims=True).astype(F32)
+        tqk = avg * self._tqk_w[0] + mx * self._tqk_w[1] + self._tqk_b
+        np.add.reduce(x64, axis=1, out=pool_f[start:, 0])
+        np.maximum.reduce(x64, axis=1, out=pool_f[start:, 1])
+        np.add.reduce(x64, axis=2, out=pool_c[start:, 0])
+        np.maximum.reduce(x64, axis=2, out=pool_c[start:, 1])
+        fqk = self._axis_qk(pool_f, c, self._fqk_w, self._fqk_b)
+        cqk = self._axis_qk(pool_c, f_dim, self._cqk_w, self._cqk_b)
+        return v.astype(F32), tqk, fqk, cqk
+
+    def _axis_qk(self, rows: np.ndarray, n_reduced: int, w: np.ndarray, b: np.ndarray):
+        """(n, 2, width) q and k from trailing-window avg and max pooling."""
+        pooled = causal_pool_time(rows, self.pool_window)
+        pooled[:, 0] /= self.pool_window * n_reduced
+        return w @ pooled.astype(F32).astype(F64) + b
 
     # -- streaming step ---------------------------------------------------------
 
@@ -179,30 +217,23 @@ class TfcaBlock:
 
     def step(self, frame: np.ndarray, state: TfcaState) -> np.ndarray:
         """Process one (C, F) frame; output frame depends on frames 0..t only."""
+        self._check_shape(frame.shape, 2)
         c, f_dim = frame.shape
-        if c != self.channels:
-            raise ConfigurationError(f"frame has {c} channels, block expects {self.channels}")
-        state._lazy_init(f_dim)
-        t = state.count
-        state.count += 1
-        x64 = frame.astype(F64)
-        vt, vf, vc = self._values_frame(x64)
+        t = state.next_frame(f_dim)
+        v, tqk, fqk, cqk = self.project(frame.astype(F64)[None], state.pool_f, state.pool_c)
+        vt, vf, vc = v[0, :c], v[0, c:2 * c], v[0, 2 * c:]
 
-        # time branch: scalar q/k per frame, masked row softmax over the history
-        q, k = self._time_qk_frame(x64)
-        state.key_hist.append(np.array([k], dtype=F64))
-        state.value_hist.append(vt.astype(F64).ravel())
-        att_row = softmax_1d(q * state.key_hist.view()[:, 0])
+        # time branch: masked row softmax over the history
+        state.key_hist.append(tqk[0, 1:])
+        state.value_hist.append(vt.ravel())
+        att_row = softmax_1d(tqk[0, 0] * state.key_hist.view()[:, 0])
         np.matmul(att_row, state.value_hist.view(), out=state.ft_buf)
         ft = state.ft_buf.reshape(c, f_dim).astype(F32)
 
         denom = np.sqrt(t + 1.0)
 
-        # frequency branch: trailing-window pooling, running score sum
-        state.pool_f.push(x64.sum(axis=0), x64.max(axis=0))
-        avg_f = (state.pool_f.window_sum() / (self.pool_window * c)).astype(F32)
-        max_f = state.pool_f.window_max().astype(F32)
-        qf, kf = self._axis_qk(avg_f.astype(F64), max_f.astype(F64), "frequency")
+        # frequency branch: running score sum
+        qf, kf = fqk[0]
         np.multiply(qf[:, None], kf[None, :], out=state.outer_f)
         state.score_f += state.outer_f
         state.bound_f += float(np.abs(qf).max() * np.abs(kf).max())
@@ -212,10 +243,7 @@ class TfcaBlock:
         ff = ff.astype(F32)
 
         # channel branch: same recipe with the roles of C and F swapped
-        state.pool_c.push(x64.sum(axis=1), x64.max(axis=1))
-        avg_c = (state.pool_c.window_sum() / (self.pool_window * f_dim)).astype(F32)
-        max_c = state.pool_c.window_max().astype(F32)
-        qc, kc = self._axis_qk(avg_c.astype(F64), max_c.astype(F64), "channel")
+        qc, kc = cqk[0]
         np.multiply(qc[:, None], kc[None, :], out=state.outer_c)
         state.score_c += state.outer_c
         state.bound_c += float(np.abs(qc).max() * np.abs(kc).max())
@@ -235,55 +263,42 @@ class TfcaBlock:
     def forward(self, x: np.ndarray, mode: str = "cumulative") -> np.ndarray:
         """Shape-preserving recalibration of a (C, F, T) map."""
         x = np.asarray(x, dtype=F32)
-        if x.ndim != 3 or x.shape[0] != self.channels:
-            raise ConfigurationError(
-                f"expected ({self.channels}, F, T) input, got shape {x.shape}")
+        self._check_shape(x.shape, 3)
         if mode not in MODES:
             raise ConfigurationError(f"unknown attention mode {mode!r}")
-        if mode == "cumulative":
-            state = self.init_state()
-            out = np.empty_like(x)
-            for t in range(x.shape[2]):
-                out[:, :, t] = self.step(x[:, :, t], state)
-            return out
-        return self._forward_offline(x)
+        if mode == "offline" and x.shape[2]:
+            return self._forward_offline(x)
+        # cumulative, or an empty map, which both modes return empty
+        state = self.init_state()
+        out = np.empty_like(x)
+        for t in range(x.shape[2]):
+            out[:, :, t] = self.step(x[:, :, t], state)
+        return out
 
-    def _pooled_qk(self, x: np.ndarray, axis: str):
-        reduce = "channel" if axis == "frequency" else "frequency"
-        avg = causal_pool_time(x, self.pool_window, "avg", reduce=reduce).astype(F64)
-        mx = causal_pool_time(x, self.pool_window, "max", reduce=reduce).astype(F64)
-        return self._axis_qk(avg, mx, axis)
+    def _offline(self, x: np.ndarray):
+        """The projection of a whole (C, F, T) map and its offline attention.
 
-    def _time_qk(self, x: np.ndarray):
-        ga = global_pool_cf(x, "avg").astype(F64)
-        gm = global_pool_cf(x, "max").astype(F64)
-        q = self._tq_w[0] * ga + self._tq_w[1] * gm + self._tq_b[0]
-        k = self._tk_w[0] * ga + self._tk_w[1] * gm + self._tk_b[0]
-        return q, k
+        Returns the values as (3C, F, T) float64 (holding float32 values),
+        then the time (T, T), frequency (F, F) and channel (C, C) attention
+        matrices, float64.
+        """
+        c, f_dim, t_dim = x.shape
+        rows = self.pool_window - 1 + t_dim
+        v, tqk, fqk, cqk = self.project(np.ascontiguousarray(x.transpose(2, 0, 1), F64),
+                                        np.zeros((rows, 2, f_dim)), np.zeros((rows, 2, c)))
+        scale = np.sqrt(t_dim)
+        return (np.ascontiguousarray(v.transpose(1, 2, 0), F64),
+                masked_softmax(np.outer(tqk[:, 0], tqk[:, 1])),
+                row_softmax(fqk[:, 0].T @ fqk[:, 1] / scale),
+                row_softmax(cqk[:, 0].T @ cqk[:, 1] / scale))
 
     def _forward_offline(self, x: np.ndarray) -> np.ndarray:
-        c, f_dim, t_dim = x.shape
-        x64 = x.astype(F64)
-        vt = (np.tensordot(self._vt_w, x64, axes=([1], [0]))
-              + self._vt_b[:, None, None]).astype(F32)
-        vf = (np.tensordot(self._vf_w, x64, axes=([1], [0]))
-              + self._vf_b[:, None, None]).astype(F32)
-        vc = (np.tensordot(self._vc_w, x64, axes=([1], [0]))
-              + self._vc_b[:, None, None]).astype(F32)
-
-        q, k = self._time_qk(x)
-        att_t = masked_softmax(np.outer(q, k))
-        ft = (vt.astype(F64) @ att_t.T).astype(F32)
-
-        qf, kf = self._pooled_qk(x, "frequency")
-        att_f = row_softmax(qf @ kf.T / np.sqrt(t_dim))
-        ff = (att_f @ vf.astype(F64)).astype(F32)              # one (F, F) @ (F, T) per channel
-
-        qc, kc = self._pooled_qk(x, "channel")
-        att_c = row_softmax(qc @ kc.T / np.sqrt(t_dim))
-        fc = np.tensordot(att_c, vc.astype(F64), axes=([1], [0])).astype(F32)
-
-        cat = np.concatenate([ft, ff, fc], axis=0).astype(F64)
+        c = x.shape[0]
+        cat, att_t, att_f, att_c = self._offline(x)
+        # each branch's output replaces its values, rounded to float32
+        cat[:c] = (cat[:c] @ att_t.T).astype(F32)
+        cat[c:2 * c] = (att_f @ cat[c:2 * c]).astype(F32)    # one (F, F) @ (F, T) per channel
+        cat[2 * c:] = np.tensordot(att_c, cat[2 * c:], axes=([1], [0])).astype(F32)
         return (np.tensordot(self._out_w, cat, axes=([1], [0]))
                 + self._out_b[:, None, None]).astype(F32)
 
@@ -294,28 +309,22 @@ class TfcaBlock:
 
         The time matrix is identical in both modes (its mask is causal by
         construction). In ``cumulative`` mode the frequency/channel matrices
-        are the ones in effect at the final frame, which coincide with the
-        offline matrices up to summation order.
+        are the ones in effect at the final frame of a stream stepped over
+        the input, which coincide with the offline matrices up to summation
+        order.
         """
         x = np.asarray(x, dtype=F32)
+        self._check_shape(x.shape, 3)
         if mode not in MODES:
             raise ConfigurationError(f"unknown attention mode {mode!r}")
-        t_dim = x.shape[2]
-        q, k = self._time_qk(x)
-        att_t = masked_softmax(np.outer(q, k))
-        if mode == "offline":
-            qf, kf = self._pooled_qk(x, "frequency")
-            qc, kc = self._pooled_qk(x, "channel")
-            att_f = row_softmax(qf @ kf.T / np.sqrt(t_dim))
-            att_c = row_softmax(qc @ kc.T / np.sqrt(t_dim))
-        else:
-            qf, kf = self._pooled_qk(x, "frequency")
-            qc, kc = self._pooled_qk(x, "channel")
-            sf = np.zeros((qf.shape[0],) * 2, dtype=F64)
-            sc = np.zeros((qc.shape[0],) * 2, dtype=F64)
-            for t in range(t_dim):
-                sf += np.outer(qf[:, t], kf[:, t])
-                sc += np.outer(qc[:, t], kc[:, t])
-            att_f = row_softmax(sf / np.sqrt(t_dim))
-            att_c = row_softmax(sc / np.sqrt(t_dim))
+        if not x.shape[2]:
+            raise ConfigurationError("attention matrices need at least one frame")
+        _, att_t, att_f, att_c = self._offline(x)
+        if mode == "cumulative":
+            state = self.init_state()
+            for t in range(x.shape[2]):
+                self.step(x[:, :, t], state)
+            scale = np.sqrt(x.shape[2])
+            att_f = row_softmax(state.score_f / scale)
+            att_c = row_softmax(state.score_c / scale)
         return {"time": att_t, "frequency": att_f, "channel": att_c}

@@ -148,6 +148,15 @@ class TestStream:
         assert rc == 2
         assert capsys.readouterr().err.startswith("ERR:usage:")
 
+    @pytest.mark.parametrize("chunk_ms", ["nan", "inf"])
+    def test_non_finite_chunk_usage_error(self, workdir, tmp_path, capsys, chunk_ms):
+        rc = main(["stream", "--in", workdir["in"], "--out", str(tmp_path / "o.wav"),
+                   "--weights", workdir["weights"], "--config", workdir["config"],
+                   "--chunk-ms", chunk_ms])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERR:usage:") and len(err.splitlines()) == 1
+
 
 class TestVerify:
 
@@ -170,6 +179,29 @@ class TestVerify:
         rc = main(["verify", "--weights", workdir["weights"], "--trials", "0"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("ERR:usage:")
+
+    @pytest.mark.parametrize("length", [640, 0])
+    def test_too_short_length_usage_error(self, workdir, capsys, length):
+        # a trial splits at a sample in [512, length - 128): none exists below 641
+        rc = main(["verify", "--config", workdir["config"], "--trials", "1",
+                   "--length", str(length)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERR:usage:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [["verify", "--trials", "1", "--random-seed", "-1"],
+                                         ["weights", "init", "--out", "w.ofn", "--seed", "-1"]])
+    def test_negative_seed_usage_error(self, workdir, capsys, command):
+        rc = main(command)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERR:usage:") and len(err.splitlines()) == 1
+
+    def test_shortest_length_runs(self, workdir, capsys):
+        rc = main(["verify", "--config", workdir["config"], "--trials", "1",
+                   "--length", "641"])
+        assert rc == 0
+        assert "all passed" in capsys.readouterr().out
 
     def test_seeded_weights_without_file(self, workdir, capsys):
         rc = main(["verify", "--config", workdir["config"], "--random-seed", "4",

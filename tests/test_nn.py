@@ -5,16 +5,8 @@ import pytest
 
 from ofifnet.errors import ConfigurationError, WeightError
 from ofifnet.model import _ConvBlock
-from ofifnet.nn import (
-    BN_EPS,
-    BiGru,
-    CausalPoolState,
-    GruParams,
-    causal_pool_time,
-    global_pool_cf,
-    gru_step,
-    masked_softmax,
-)
+from ofifnet.nn import BN_EPS, BiGru, GruParams, causal_pool_time, gru_step, masked_softmax
+from ofifnet.tfca import TFCA_PARAM_SHAPES, TfcaBlock
 
 F32 = np.float32
 
@@ -314,16 +306,51 @@ def naive_causal_pool(x, window, mode, reduce):
     return out
 
 
+def project_map(x, window, picks):
+    """The live attention projection of a whole (C, F, T) map, with the
+    query/key weights in ``picks`` (name -> [w_avg, w_max]) and every other
+    weight zero, so that a query or key is exactly one pooled statistic."""
+    c, f_dim, t_dim = x.shape
+    params = {name: np.zeros(shape_of(c)) for name, shape_of in TFCA_PARAM_SHAPES}
+    params.update({name: np.asarray(w, dtype=np.float64) for name, w in picks.items()})
+    rows = window - 1 + t_dim
+    return TfcaBlock(c, window, params).project(
+        np.ascontiguousarray(x.transpose(2, 0, 1), dtype=np.float64),
+        np.zeros((rows, 2, f_dim)), np.zeros((rows, 2, c)))
+
+
+PICK = {"avg": [1.0, 0.0], "max": [0.0, 1.0]}
+
+
+def causal_pool_map(x, window, mode, reduce="channel"):
+    """(C, F, T) -> (width, T) trailing-window pooling as the attention block
+    runs it: over channels (the frequency branch's query) or over frequency
+    (the channel branch's)."""
+    if reduce == "channel":
+        _, _, qk, _ = project_map(x, window, {"fq.w": PICK[mode]})
+    else:
+        _, _, _, qk = project_map(x, window, {"cq.w": PICK[mode]})
+    return qk[:, 0].T.astype(F32)
+
+
+def global_pool_map(x, mode):
+    """(C, F, T) -> (T,) per-frame pooling over all channels and frequencies,
+    as the attention block's time query takes it."""
+    _, tqk, _, _ = project_map(x, 15, {"tq.w": PICK[mode]})
+    return tqk[:, 0].astype(F32)
+
+
 class TestCausalPoolTime:
+    """Trailing-window pooling through the live attention projection."""
 
     def test_window_one_single_channel_identity(self, rng):
         x = fmap(rng, 1, 5, 6)
-        assert np.array_equal(causal_pool_time(x, 1, "avg"), x[0])
+        assert np.array_equal(causal_pool_map(x, 1, "avg"), x[0])
 
     def test_constant_input_dilution(self):
         v = 3.0
         x = np.full((2, 4, 10), v, dtype=F32)
-        out = causal_pool_time(x, 5, "avg")
+        out = causal_pool_map(x, 5, "avg")
         np.testing.assert_allclose(out[:, 4:], v, atol=1e-6)
         np.testing.assert_allclose(out[:, 0], v / 5, atol=1e-6)
 
@@ -332,32 +359,37 @@ class TestCausalPoolTime:
         x2 = x.copy()
         x2[:, :, 8:] -= 2.0
         for mode in ("avg", "max"):
-            a = causal_pool_time(x, 4, mode)
-            b = causal_pool_time(x2, 4, mode)
+            a = causal_pool_map(x, 4, mode)
+            b = causal_pool_map(x2, 4, mode)
             assert np.array_equal(a[:, :8], b[:, :8])
 
     @pytest.mark.parametrize("mode", ["avg", "max"])
     @pytest.mark.parametrize("reduce", ["channel", "frequency"])
     def test_matches_naive_loop_oracle(self, rng, mode, reduce):
         x = fmap(rng, 3, 5, 9)
-        got = causal_pool_time(x, 4, mode, reduce=reduce)
+        got = causal_pool_map(x, 4, mode, reduce=reduce)
         np.testing.assert_allclose(got, naive_causal_pool(x, 4, mode, reduce), atol=1e-6)
 
 
-def streamed_pool(x, window, mode, reduce):
-    """Per-frame ``CausalPoolState`` pushes, as the attention step pools."""
-    axis, n_reduced = (0, x.shape[0]) if reduce == "channel" else (1, x.shape[1])
-    state = None
-    cols = []
-    for t in range(x.shape[2]):
-        fr = np.ascontiguousarray(x[:, :, t], dtype=np.float64)
-        s, m = fr.sum(axis=axis), fr.max(axis=axis)
-        if state is None:
-            state = CausalPoolState(window, s.shape[0])
-        state.push(s, m)
-        cols.append(state.window_sum() / (window * n_reduced) if mode == "avg"
-                    else state.window_max())
-    return np.stack(cols, axis=1).astype(F32)
+def pool_rows(x, window, reduce):
+    """(window - 1 + T, 2, width) per-frame sums and maxes of a (C, F, T) map,
+    after window - 1 zero rows of history."""
+    frames = np.ascontiguousarray(x.transpose(2, 0, 1), dtype=np.float64)
+    axis = 1 if reduce == "channel" else 2
+    rows = np.zeros((window - 1 + x.shape[2], 2, x.shape[1 if reduce == "channel" else 0]))
+    rows[window - 1:, 0] = frames.sum(axis=axis)
+    rows[window - 1:, 1] = frames.max(axis=axis)
+    return rows
+
+
+def pool_in_calls(rows, window, sizes):
+    """``causal_pool_time`` over consecutive runs of ``sizes`` frames, each
+    call given the window - 1 rows before its frames as history."""
+    outs, t = [], 0
+    for n in sizes:
+        outs.append(causal_pool_time(rows[t:t + window - 1 + n], window))
+        t += n
+    return np.concatenate(outs)
 
 
 # (C, F) of the deployed attention blocks' inputs: fuse, skip.0, skip.4
@@ -365,49 +397,62 @@ DEPLOYED_MAPS = [(4, 512), (16, 256), (128, 16)]
 
 
 class TestPoolsEqualStreamedState:
-    """The whole-map pools against the per-frame reductions the stream runs."""
+    """The pooling kernel gives the same bytes over one frame at a time (as a
+    stream calls it), over uneven runs of frames, and over the whole map."""
 
     @pytest.mark.parametrize("mode", ["avg", "max"])
     @pytest.mark.parametrize("reduce", ["channel", "frequency"])
     @pytest.mark.parametrize("cf", DEPLOYED_MAPS)
     def test_causal_pool_time_bit_identical(self, rng, mode, reduce, cf):
         x = fmap(rng, *cf, 20)
-        got = causal_pool_time(x, 15, mode, reduce=reduce)
-        assert got.tobytes() == streamed_pool(x, 15, mode, reduce).tobytes()
+        rows = pool_rows(x, 15, reduce)
+        k = 0 if mode == "avg" else 1
+        whole = causal_pool_time(rows, 15)[:, k]
+        assert whole.shape == (20, rows.shape[2])
+        for sizes in ([1] * 20, [7, 1, 12], [19, 1]):
+            assert pool_in_calls(rows, 15, sizes)[:, k].tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("reduce", ["channel", "frequency"])
     def test_causal_pool_time_summation_order(self, rng, reduce):
         # frames of +-1e10 around small ones: the float64 window sums cancel,
-        # so any other summation order shows in the float32 averages
+        # so any order other than oldest first shows in the low bits
         x = fmap(rng, 4, 16, 40)
         x[:, :, 0::3] += F32(1e10)
         x[:, :, 1::3] -= F32(1e10)
-        got = causal_pool_time(x, 15, "avg", reduce=reduce)
-        assert got.tobytes() == streamed_pool(x, 15, "avg", reduce).tobytes()
+        rows = pool_rows(x, 15, reduce)
+        oldest_first = np.empty((40, rows.shape[2]))
+        for t in range(40):
+            acc = rows[t, 0].copy()
+            for j in range(1, 15):
+                acc += rows[t + j, 0]
+            oldest_first[t] = acc
+        assert causal_pool_time(rows, 15)[:, 0].tobytes() == oldest_first.tobytes()
+        assert pool_in_calls(rows, 15, [1] * 40)[:, 0].tobytes() == oldest_first.tobytes()
 
     @pytest.mark.parametrize("cf", DEPLOYED_MAPS)
     def test_global_pool_cf_bit_identical(self, rng, cf):
         x = fmap(rng, *cf, 20)
         frames = [np.ascontiguousarray(x[:, :, t], dtype=np.float64) for t in range(20)]
-        assert global_pool_cf(x, "avg").tobytes() == F32([f.mean() for f in frames]).tobytes()
-        assert global_pool_cf(x, "max").tobytes() == F32([f.max() for f in frames]).tobytes()
+        assert global_pool_map(x, "avg").tobytes() == F32([f.mean() for f in frames]).tobytes()
+        assert global_pool_map(x, "max").tobytes() == F32([f.max() for f in frames]).tobytes()
 
 
 class TestGlobalPoolCF:
+    """Per-frame pooling over (C, F) through the live attention projection."""
 
     def test_unit_dims_identity(self, rng):
         x = fmap(rng, 1, 1, 7)
-        np.testing.assert_array_equal(global_pool_cf(x, "avg"), x[0, 0])
-        np.testing.assert_array_equal(global_pool_cf(x, "max"), x[0, 0])
+        np.testing.assert_array_equal(global_pool_map(x, "avg"), x[0, 0])
+        np.testing.assert_array_equal(global_pool_map(x, "max"), x[0, 0])
 
     def test_constant_value(self):
         x = np.full((3, 4, 5), 2.5, dtype=F32)
         for mode in ("avg", "max"):
-            np.testing.assert_allclose(global_pool_cf(x, mode), 2.5, atol=1e-6)
+            np.testing.assert_allclose(global_pool_map(x, mode), 2.5, atol=1e-6)
 
     def test_avg_matches_loop_oracle(self, rng):
         x = fmap(rng, 3, 4, 6)
-        got = global_pool_cf(x, "avg")
+        got = global_pool_map(x, "avg")
         expect = [np.mean([float(x[c, f, t]) for c in range(3) for f in range(4)])
                   for t in range(6)]
         np.testing.assert_allclose(got, expect, atol=1e-6)

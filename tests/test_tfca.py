@@ -143,3 +143,80 @@ class TestTfcaForward:
         state = block.init_state()
         stepped = np.stack([block.step(x[:, :, t], state) for t in range(8)], axis=2)
         assert np.array_equal(batch, stepped)
+
+
+def deployed_attention_block(model, name):
+    """An attention block of a model and the (C, F) of its input in the
+    deployed network."""
+    freqs = model.config.encoder_freqs()
+    if name == "fuse":
+        return model.fuse, (model.config.in_channels, freqs[0])
+    kind, idx = name.split(".")
+    blk = getattr(model, kind)[int(idx)]
+    f_dim = freqs[int(idx) + 1] if kind == "skip" else freqs[len(model.dec) - 1 - int(idx)]
+    return blk, (blk.channels, f_dim)
+
+
+ATTENTION_BLOCKS = ["fuse"] + [f"skip.{i}" for i in range(5)] + [f"dectfca.{j}" for j in range(4)]
+
+
+class TestSharedProjection:
+    """One projection serves both realizations: a whole map is one call at
+    n = T, a stream makes T calls at n = 1 with its carried pooling rows."""
+
+    @pytest.mark.parametrize("name", ATTENTION_BLOCKS)
+    def test_whole_map_equals_frame_calls(self, default_model, rng, name):
+        block, (c, f_dim) = deployed_attention_block(default_model, name)
+        t_dim = 20                            # more frames than the pooling window
+        x64 = rng.uniform(-1, 1, (t_dim, c, f_dim)).astype(F32).astype(np.float64)
+        rows = block.pool_window - 1 + t_dim
+        whole = block.project(x64, np.zeros((rows, 2, f_dim)), np.zeros((rows, 2, c)))
+        state = block.init_state()
+        calls = []
+        for t in range(t_dim):
+            state.next_frame(f_dim)
+            calls.append(block.project(x64[t:t + 1], state.pool_f, state.pool_c))
+        assert whole[0].shape == (t_dim, 3 * c, f_dim) and whole[0].dtype == F32
+        for k, part in enumerate(("values", "time q/k", "frequency q/k", "channel q/k")):
+            framewise = np.concatenate([call[k] for call in calls])
+            assert framewise.tobytes() == whole[k].tobytes(), part
+
+
+class TestDegenerateInputs:
+
+    def test_attentions_wrong_channel_count_rejected(self, rng):
+        block = make_block(rng, 3)
+        x = rng.uniform(-1, 1, (4, 8, 5)).astype(F32)
+        for mode in ("offline", "cumulative"):
+            with pytest.raises(ConfigurationError):
+                block.attentions(x, mode=mode)
+
+    def test_step_frequency_change_rejected(self, rng):
+        block = make_block(rng, 3)
+        state = block.init_state()
+        block.step(rng.uniform(-1, 1, (3, 24)).astype(F32), state)
+        with pytest.raises(ConfigurationError):
+            block.step(rng.uniform(-1, 1, (3, 27)).astype(F32), state)
+
+    def test_zero_frequency_bins_rejected(self, rng):
+        block = make_block(rng, 3)
+        with pytest.raises(ConfigurationError):
+            block.step(np.zeros((3, 0), dtype=F32), block.init_state())
+        for mode in ("offline", "cumulative"):
+            with pytest.raises(ConfigurationError):
+                block.forward(np.zeros((3, 0, 4), dtype=F32), mode=mode)
+            with pytest.raises(ConfigurationError):
+                block.attentions(np.zeros((3, 0, 4), dtype=F32), mode=mode)
+
+    @pytest.mark.parametrize("mode", ["offline", "cumulative"])
+    def test_empty_map_returned_empty(self, rng, mode):
+        block = make_block(rng, 3)
+        out = block.forward(np.zeros((3, 8, 0), dtype=F32), mode=mode)
+        assert out.shape == (3, 8, 0) and out.dtype == F32
+
+    @pytest.mark.parametrize("mode", ["offline", "cumulative"])
+    def test_attentions_of_empty_map_rejected(self, rng, mode):
+        # no frame, no score: the frequency and channel softmax is undefined
+        block = make_block(rng, 3)
+        with pytest.raises(ConfigurationError):
+            block.attentions(np.zeros((3, 8, 0), dtype=F32), mode=mode)
