@@ -7,9 +7,11 @@ attention block before concatenating onto the decoder stream, and another
 attention block follows each decoder block except the last, whose activation
 is Tanh so the predicted mask lies in [-1, 1]. The mask multiplies the noisy
 spectrum and overlap-add synthesis returns a waveform of the input length.
-``Model.walk`` is the one place this wiring lives: a stream walks it one
-frame at a time with each block's ``step``, the offline forward walks it once
-with each block's whole-map ``forward``.
+``Model.walk`` is the one place this wiring lives: a stream walks it with
+(C, F, 1) maps through each block's ``step`` and its carried state, the
+offline forward once with whole (C, F, T) maps through each block's
+``forward``, which is ``step`` on a fresh state (attention excepted, whose
+offline realization is its own method).
 
 Weight tensors live in a flat name -> array mapping with canonical dotted
 paths (``enc.0.conv.w`` ...); ``weight_layout`` enumerates the exact names and
@@ -32,17 +34,17 @@ from .nn import (
     BN_EPS,
     F32,
     F64,
-    FRAMES_PER_PASS,
     conv2d_out_freq,
     conv_frame_taps,
     deconv2d_out_freq,
     deconv_frame_taps,
     deconv_tap_matrices,
+    in_passes,
+    with_history,
 )
-from .tfca import TFCA_PARAM_SHAPES, TfcaBlock
+from .tfca import MODES, TFCA_PARAM_SHAPES, TfcaBlock
 from .tfsm import TfsmBlock
 
-ATTENTION_MODES = ("cumulative", "offline")
 SI_SNR_CAP_DB = 120.0
 MASK_EPS = 1e-8
 
@@ -65,15 +67,17 @@ class ModelConfig:
     attention_mode: str = "cumulative"
 
     def __post_init__(self):
-        if self.attention_mode not in ATTENTION_MODES:
-            raise ConfigurationError(f"attention_mode must be one of {ATTENTION_MODES}")
+        if self.attention_mode not in MODES:
+            raise ConfigurationError(f"attention_mode must be one of {MODES}")
         if self.in_channels < 1 or self.freq_bins < 1 or self.pool_window < 1:
             raise ConfigurationError("channel, frequency, and pooling sizes must be >= 1")
         if self.stride[1] != 1:
             raise ConfigurationError("time stride must be 1")
-        if self.decoder_channels and len(self.decoder_channels) != len(self.encoder_channels):
+        if not self.decoder_channels:
+            raise ConfigurationError("a model needs a decoder: its last block emits the mask")
+        if len(self.decoder_channels) != len(self.encoder_channels):
             raise ConfigurationError("decoder must mirror the encoder block for block")
-        if self.decoder_channels and self.decoder_channels[-1] != 1:
+        if self.decoder_channels[-1] != 1:
             raise ConfigurationError("last decoder block must emit a single mask channel")
         self.encoder_freqs()  # raises if any stage collapses
 
@@ -85,17 +89,16 @@ class ModelConfig:
             if nxt < 1:
                 raise ConfigurationError("encoder collapses the frequency axis to nothing")
             freqs.append(nxt)
-        if self.decoder_channels:
-            f = freqs[-1]
-            for _ in self.decoder_channels:
-                f = deconv2d_out_freq(f, self.kernel[0], self.stride[0],
-                                      self.freq_pad, self.freq_out_pad)
-                if f < 1:
-                    raise ConfigurationError("decoder collapses the frequency axis to nothing")
-            if f != self.freq_bins:
-                raise ConfigurationError(
-                    f"decoder returns {f} frequency bins instead of {self.freq_bins}; "
-                    "adjust padding so the ladders mirror")
+        f = freqs[-1]
+        for _ in self.decoder_channels:
+            f = deconv2d_out_freq(f, self.kernel[0], self.stride[0],
+                                  self.freq_pad, self.freq_out_pad)
+            if f < 1:
+                raise ConfigurationError("decoder collapses the frequency axis to nothing")
+        if f != self.freq_bins:
+            raise ConfigurationError(
+                f"decoder returns {f} frequency bins instead of {self.freq_bins}; "
+                "adjust padding so the ladders mirror")
         return freqs
 
     def to_json(self) -> str:
@@ -145,7 +148,7 @@ def weight_layout(config: ModelConfig) -> "OrderedDict[str, tuple[int, ...]]":
             out[f"enc.{i}.bn.{stat}"] = (c,)
         out[f"enc.{i}.prelu.slope"] = (c,)
         c_prev = c
-    bott = config.encoder_channels[-1] if config.encoder_channels else config.in_channels
+    bott = config.encoder_channels[-1]
     for j, h in enumerate(config.tfsm_hidden):
         for d in ("ffwd", "fbwd"):
             out[f"tfsm.{j}.{d}.W"] = (3 * h, bott)
@@ -158,21 +161,20 @@ def weight_layout(config: ModelConfig) -> "OrderedDict[str, tuple[int, ...]]":
         out[f"tfsm.{j}.time.b"] = (3 * h,)
         out[f"tfsm.{j}.tproj.w"] = (bott, h)
         out[f"tfsm.{j}.tproj.b"] = (bott,)
-    if config.decoder_channels:
-        for i, c in enumerate(config.encoder_channels):
-            out.update(_tfca_layout(f"skip.{i}", c))
-        d_prev = bott
-        n = len(config.decoder_channels)
-        for j, c in enumerate(config.decoder_channels):
-            c_in = d_prev + config.encoder_channels[n - 1 - j]
-            out[f"dec.{j}.conv.w"] = (c_in, c, k_f, k_t)
-            out[f"dec.{j}.conv.b"] = (c,)
-            for stat in ("gamma", "beta", "mean", "var"):
-                out[f"dec.{j}.bn.{stat}"] = (c,)
-            if j < n - 1:
-                out[f"dec.{j}.prelu.slope"] = (c,)
-                out.update(_tfca_layout(f"dectfca.{j}", c))
-            d_prev = c
+    for i, c in enumerate(config.encoder_channels):
+        out.update(_tfca_layout(f"skip.{i}", c))
+    d_prev = bott
+    n = len(config.decoder_channels)
+    for j, c in enumerate(config.decoder_channels):
+        c_in = d_prev + config.encoder_channels[n - 1 - j]
+        out[f"dec.{j}.conv.w"] = (c_in, c, k_f, k_t)
+        out[f"dec.{j}.conv.b"] = (c,)
+        for stat in ("gamma", "beta", "mean", "var"):
+            out[f"dec.{j}.bn.{stat}"] = (c,)
+        if j < n - 1:
+            out[f"dec.{j}.prelu.slope"] = (c,)
+            out.update(_tfca_layout(f"dectfca.{j}", c))
+        d_prev = c
     return out
 
 
@@ -221,7 +223,9 @@ def param_breakdown(tensors: "OrderedDict[str, np.ndarray]") -> "OrderedDict[str
 
 class _ConvState:
     def __init__(self):
-        self.taps: np.ndarray | None = None    # (k_t, C_in, F) float64, oldest first
+        # (k_t - 1 + n, C_in, F) float64 input frames of the last step, oldest
+        # first; the last k_t - 1 of them are the history of the next
+        self.frames: np.ndarray | None = None
 
 
 class _ConvBlock:
@@ -269,26 +273,22 @@ class _ConvBlock:
             return np.tanh(y64).astype(F32)
         return np.where(y64 >= 0, y64, self.slopes * y64).astype(F32)
 
-    def step(self, frame: np.ndarray, state: _ConvState) -> np.ndarray:
-        c, f_dim = frame.shape
+    def step(self, x: np.ndarray, state: _ConvState) -> np.ndarray:
+        """(C_in, F, n) frames after the carried ones -> (C_out, F', n).
+
+        The frames run in passes of at most ``FRAMES_PER_PASS`` after the
+        k_t - 1 frames before them, zeros before the first frame.
+        """
+        c, f_dim, n = x.shape
         self._check_channels(c)
-        if state.taps is None:
-            state.taps = np.zeros((self.k_t, c, f_dim), dtype=F64)
-        elif self.k_t > 1:
-            state.taps[:-1] = state.taps[1:]
-        state.taps[-1] = frame
-        return self._frames(state.taps)[0]
+        hist = self.k_t - 1
+        frames = state.frames = with_history(state.frames, hist, n, (c, f_dim))
+        frames[hist:] = x.transpose(2, 0, 1)
+        return in_passes(self._frames, frames, hist).transpose(1, 2, 0)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Whole (C_in, F, T) map, zero history before frame 0."""
-        x = np.asarray(x, dtype=F32)
-        c, f_dim, t_dim = x.shape
-        self._check_channels(c)
-        frames = np.zeros((self.k_t - 1 + t_dim, c, f_dim), dtype=F64)
-        frames[self.k_t - 1:] = x.transpose(2, 0, 1)
-        return np.concatenate(
-            [self._frames(frames[s:s + FRAMES_PER_PASS + self.k_t - 1]).transpose(1, 2, 0)
-             for s in range(0, t_dim, FRAMES_PER_PASS)], axis=2)
+        return self.step(np.asarray(x, dtype=F32), self.init_state())
 
 
 # ---------------------------------------------------------------------------
@@ -331,28 +331,24 @@ class Model:
             self.enc.append(_ConvBlock(
                 p["conv.w"], p["conv.b"], p["bn.gamma"], p["bn.beta"], p["bn.mean"],
                 p["bn.var"], p["prelu.slope"], cfg.stride, cfg.freq_pad))
-        bott = cfg.encoder_channels[-1] if cfg.encoder_channels else cfg.in_channels
         self.tfsm: list[TfsmBlock] = [
-            TfsmBlock(bott, h, self._sub(f"tfsm.{j}"))
+            TfsmBlock(cfg.encoder_channels[-1], h, self._sub(f"tfsm.{j}"))
             for j, h in enumerate(cfg.tfsm_hidden)]
-        self.skip: list[TfcaBlock] = []
+        self.skip = [TfcaBlock(c, cfg.pool_window, self._sub(f"skip.{i}"))
+                     for i, c in enumerate(cfg.encoder_channels)]
         self.dec: list[_ConvBlock] = []
         self.dectfca: list[TfcaBlock] = []
-        if cfg.decoder_channels:
-            self.skip = [TfcaBlock(c, cfg.pool_window, self._sub(f"skip.{i}"))
-                         for i, c in enumerate(cfg.encoder_channels)]
-            n = len(cfg.decoder_channels)
-            for j, c in enumerate(cfg.decoder_channels):
-                p = self._sub(f"dec.{j}")
-                last = j == n - 1
-                self.dec.append(_ConvBlock(
-                    p["conv.w"], p["conv.b"], p["bn.gamma"], p["bn.beta"], p["bn.mean"],
-                    p["bn.var"], None if last else p["prelu.slope"], cfg.stride,
-                    cfg.freq_pad, out_pad_f=cfg.freq_out_pad, transposed=True,
-                    final_tanh=last))
-                if not last:
-                    self.dectfca.append(TfcaBlock(c, cfg.pool_window,
-                                                  self._sub(f"dectfca.{j}")))
+        n = len(cfg.decoder_channels)
+        for j, c in enumerate(cfg.decoder_channels):
+            p = self._sub(f"dec.{j}")
+            last = j == n - 1
+            self.dec.append(_ConvBlock(
+                p["conv.w"], p["conv.b"], p["bn.gamma"], p["bn.beta"], p["bn.mean"],
+                p["bn.var"], None if last else p["prelu.slope"], cfg.stride,
+                cfg.freq_pad, out_pad_f=cfg.freq_out_pad, transposed=True,
+                final_tanh=last))
+            if not last:
+                self.dectfca.append(TfcaBlock(c, cfg.pool_window, self._sub(f"dectfca.{j}")))
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -373,8 +369,9 @@ class Model:
     def walk(self, x: np.ndarray, run_block) -> np.ndarray:
         """Run the fused input through the network; returns the mask.
 
-        ``run_block(block, x)`` runs one block on its input: a stream steps
-        one (C, F) frame, the offline forward runs a whole (C, F, T) map.
+        ``run_block(block, x)`` runs one block on its (C, F, n) input: a
+        stream steps each block over its one new frame with its carried
+        state, the offline forward runs each over the whole map.
         Attention recalibrates the input, then come the encoder and the
         recurrent blocks; each decoder block takes the decoder stream
         concatenated with its attention-recalibrated encoder skip, and every
@@ -413,15 +410,13 @@ class Model:
             raise SignalTooShortError(
                 f"need at least {stdct.WINDOW_SIZE} samples, got {n_samples}")
         mode = mode or self.config.attention_mode
-        if mode not in ATTENTION_MODES:
+        if mode not in MODES:
             raise ConfigurationError(f"unknown attention mode {mode!r}")
-        if not self.dec:
-            raise ConfigurationError("configuration has no decoder; inference is undefined")
         if mode == "cumulative":
             state = StreamState(self)
             head = stream_push(state, self, wave)
             tail = stream_flush(state, self)
-            return np.concatenate([head, tail]), np.stack(state.mask_frames, axis=1)
+            return np.concatenate([head, tail]), np.concatenate(state.mask_frames, axis=1)
         stacked = ofif.ofif_stack_frames(stdct.frame_signal_full(wave))
         mask = self.walk(stacked, _run_offline)
         s_hat = (mask.astype(F64) * stacked[0].astype(F64)).astype(F32)

@@ -3,12 +3,12 @@
 Feature maps are float32 ndarrays laid out (channels, frequency, time).
 Arithmetic runs in float64 internally and results are rounded to float32 at
 each operation boundary. The kernels take n frames along a leading time
-axis, each frame a contiguous block; a streaming step is the n = 1 case of
-the same kernel. Every per-frame product is its own item of a stacked
-``np.matmul`` (never one wider GEMM, whose blocking can change the rounding)
-and every reduction runs over the same axis in the same order as the
-per-frame code, so a whole-utterance run and an incremental run with carried
-state produce identical bits.
+axis, each frame a contiguous block. A block's one ``step(x, state)`` calls
+them on its carried history plus n frames: a stream's frame is n = 1, a
+whole map n = T on a fresh state. Every per-frame product is its own item
+of a stacked ``np.matmul`` (never one wider GEMM, whose blocking can change
+the rounding) and every reduction runs over the same axis in the same order
+whatever n is, so any split of the frames into calls gives identical bits.
 
 Causality conventions:
   * convolutions pad ``k_t - 1`` zero frames at the start of the time axis;
@@ -29,9 +29,9 @@ from .errors import ConfigurationError
 F32 = np.float32
 F64 = np.float64
 
-#: Whole-map forwards run the n-frame kernels on at most this many frames per
-#: call, so their temporaries (a conv's patch matrix is k_f * k_t times its
-#: input) stay a few MB however long the utterance is.
+#: A block's ``step`` runs the n-frame kernels on at most this many frames
+#: per call, so their temporaries (a conv's patch matrix is k_f * k_t times
+#: its input) stay a few MB however long the utterance is.
 FRAMES_PER_PASS = 32
 
 #: Batch-norm epsilon of the conv blocks' evaluation-mode normalization.
@@ -40,6 +40,38 @@ BN_EPS = 1e-5
 
 def _f64(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=F64)
+
+
+def with_history(buf: np.ndarray | None, hist: int, n: int,
+                 frame_shape: tuple[int, ...]) -> np.ndarray:
+    """A (hist + n, *frame_shape) float64 buffer that starts with the last
+    ``hist`` frames of ``buf`` (zeros if ``buf`` is None); the caller fills
+    the n frames after them.
+
+    ``buf`` itself is reused, shifted in place, when it already holds
+    hist + n frames, so a stream stepping one frame at a time allocates
+    nothing here.
+    """
+    if buf is not None and len(buf) == hist + n:
+        buf[:hist] = buf[n:]
+        return buf
+    out = np.empty((hist + n,) + frame_shape, dtype=F64)
+    out[:hist] = 0.0 if buf is None else buf[len(buf) - hist:]
+    return out
+
+
+def in_passes(kernel, frames: np.ndarray, hist: int = 0) -> np.ndarray:
+    """``kernel`` over n frames in passes of at most ``FRAMES_PER_PASS``.
+
+    ``frames`` holds ``hist`` frames of history, then the n frames, along
+    axis 0; each pass gets the ``hist`` frames before its own. The passes'
+    outputs are joined along axis 0.
+    """
+    n = len(frames) - hist
+    if n <= FRAMES_PER_PASS:
+        return kernel(frames)
+    return np.concatenate([kernel(frames[s:s + FRAMES_PER_PASS + hist])
+                           for s in range(0, n, FRAMES_PER_PASS)])
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +211,6 @@ def gru_step_pre(gx: np.ndarray, h: np.ndarray, p: GruParams) -> np.ndarray:
     return (1.0 - z) * n + z * h
 
 
-def gru_step(x: np.ndarray, h: np.ndarray, p: GruParams) -> np.ndarray:
-    """One GRU step for a (B, d_in) batch against (B, h) carried state; float64."""
-    return gru_step_pre(x @ p.w_in.T, h, p)
-
-
 class BiGru:
     """Both directions of a bidirectional GRU, stepped together as a batch of 2.
 
@@ -262,12 +289,6 @@ def row_softmax(scores: np.ndarray) -> np.ndarray:
     m = s.max(axis=-1, keepdims=True)
     e = np.exp(s - m)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_1d(scores: np.ndarray) -> np.ndarray:
-    s = _f64(scores)
-    e = np.exp(s - s.max())
-    return e / e.sum()
 
 
 # ---------------------------------------------------------------------------

@@ -87,9 +87,7 @@ def frame_signal(wave: np.ndarray, *, windowed: bool = True) -> np.ndarray:
     each frame is multiplied by the Hamming window.
     """
     wave = np.asarray(wave, dtype=F32).ravel()
-    t_dim = frame_count(len(wave))
-    idx = np.arange(WINDOW_SIZE)[:, None] + HOP_SIZE * np.arange(t_dim)[None, :]
-    frames = wave[idx]
+    frames = frame_signal_full(wave)[:, :frame_count(len(wave))]
     if windowed:
         frames = (hamming_window()[:, None] * frames.astype(F64)).astype(F32)
     return frames
@@ -117,14 +115,6 @@ def dct_frames(frames: np.ndarray) -> np.ndarray:
     if frames.shape[0] != DCT_SIZE:
         raise ConfigurationError(f"frames must have {DCT_SIZE} rows, got {frames.shape[0]}")
     return (dct_matrix() @ frames.astype(F64)).astype(F32)
-
-
-def idct_frames(spec: np.ndarray) -> np.ndarray:
-    """Inverse transform (exact transpose of the forward basis)."""
-    spec = np.asarray(spec, dtype=F32)
-    if spec.shape[0] != DCT_SIZE:
-        raise ConfigurationError(f"spectrum must have {DCT_SIZE} rows, got {spec.shape[0]}")
-    return (dct_matrix().T @ spec.astype(F64)).astype(F32)
 
 
 def stdct(wave: np.ndarray) -> np.ndarray:

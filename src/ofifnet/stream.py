@@ -9,11 +9,12 @@ worst-case (hop-aligned) emission latency is exactly one window.
 
 Each frame runs the same three stages as the whole-utterance forward, as
 their n = 1 case: the analysis ``ofif_stack_frames``, the network walk
-``Model.walk`` with every block's ``step``, and an ``OverlapAdd`` whose
-buffer stays one window long however long the stream runs. Because every
-stage gives the same bits whatever the chunking, the concatenated output is
-bit-identical across chunkings and equal to the offline cumulative-mode
-forward pass, which is itself a single push through this engine.
+``Model.walk`` over (C, F, 1) maps with every block's one n-frame ``step``
+and its carried state, and an ``OverlapAdd`` whose buffer stays one window
+long however long the stream runs. Because every stage gives the same bits
+whatever the chunking, the concatenated output is bit-identical across
+chunkings and equal to the offline cumulative-mode forward pass, which is
+itself a single push through this engine.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ class StreamState:
             raise ConfigurationError(
                 "streaming requires a model in cumulative attention mode; the offline "
                 "realization needs the whole utterance before the first output frame")
-        if not model.dec:
-            raise ConfigurationError("configuration has no decoder; streaming is undefined")
         self.closed = False
         self.consumed = 0
         self.emitted = 0
@@ -63,17 +62,17 @@ class StreamState:
 
     # -- internals ----------------------------------------------------------------
 
-    def _step_block(self, block, frame: np.ndarray) -> np.ndarray:
-        return block.step(frame, self._block_states[block])
+    def _step_block(self, block, x: np.ndarray) -> np.ndarray:
+        return block.step(x, self._block_states[block])
 
     def _process_frame(self, model, raw: np.ndarray, during_flush: bool = False) -> np.ndarray:
         t = self.frame_index
         self.frame_index += 1
-        spec4 = ofif_stack_frames(raw[:, None])[:, :, 0]          # (4, 512)
+        spec4 = ofif_stack_frames(raw[:, None])                  # (4, 512, 1)
         mask = model.walk(spec4, self._step_block)
         self.mask_frames.append(mask)
         s_hat = (mask.astype(F64) * spec4[0].astype(F64)).astype(F32)
-        out = self._ola.add(s_hat[:, None])
+        out = self._ola.add(s_hat)
         if not during_flush:
             start, required_consumed = t * HOP, t * HOP + WINDOW
             self.max_latency = max(self.max_latency, self.consumed - start)

@@ -14,17 +14,20 @@ into a 1x1 fusion convolution. Shapes are preserved end to end.
 
 Everything a frame contributes on its own — the three branches' values, the
 time query and key, and the pooled frequency and channel queries and keys —
-is one projection, ``TfcaBlock.project``, over n frames with carried pooling
-rows: a stream's ``step`` calls it at n = 1, the offline forward once at
-n = T, and both get the same bits. Only the attention itself has two
-realizations:
+is one projection, ``TfcaBlock.project``, over n frames after the pooling
+rows a ``TfcaState`` carries: ``step`` calls it on the n frames it is given,
+the offline forward once at n = T on a fresh state, and both get the same
+bits. Only the attention itself has two realizations:
   - ``offline``: the T x T masked time softmax, and one
     softmax(Q K^T / sqrt(T)) per frequency/channel branch over the whole
     utterance. This mixes future frames into every output frame.
   - ``cumulative``: at frame t the time softmax runs over the keys so far,
     and the frequency/channel score sums over frames 0..t only, scaled by
     sqrt(t+1); the final frame reproduces the offline matrices. This is the
-    strictly causal realization the streaming engine uses.
+    strictly causal realization the streaming engine uses. ``step`` runs it
+    frame by frame over its n frames after one projection; a stream steps one
+    frame at a time, and the cumulative ``forward`` is one step of the whole
+    map on a fresh state.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import F32, F64, causal_pool_time, masked_softmax, row_softmax, softmax_1d
+from .nn import F32, F64, causal_pool_time, masked_softmax, row_softmax, with_history
 
 MODES = ("cumulative", "offline")
 
@@ -93,15 +96,14 @@ class _GrowBuf:
 class TfcaState:
     """Per-stream attention state: pooling rows, running score sums, histories."""
 
-    def __init__(self, channels: int, window: int):
+    def __init__(self, channels: int):
         self.count = 0
         self.channels = channels
-        self.window = window
-        # (window, 2, width) pooling rows for the frequency (sums and maxes
-        # over C) and channel (over F) branches: the last window - 1 frames'
-        # rows, oldest first, then the current frame's
+        # (window - 1 + n, 2, width) pooling rows of the last projection, oldest
+        # first, for the frequency (sums and maxes over C) and channel (over F)
+        # branches; the last window - 1 rows are the history of the next
         self.pool_f: np.ndarray | None = None
-        self.pool_c = np.zeros((window, 2, channels), dtype=F64)
+        self.pool_c: np.ndarray | None = None
         self.score_f: np.ndarray | None = None
         self.score_c = np.zeros((channels, channels), dtype=F64)
         self.bound_f = 0.0            # running bound on |score| entries per branch
@@ -116,27 +118,14 @@ class TfcaState:
         self.cat64: np.ndarray | None = None
         self.ft_buf: np.ndarray | None = None
 
-    def next_frame(self, f_dim: int) -> int:
-        """Start frame ``count`` (returned): drop the oldest pooling rows.
-
-        The first frame fixes the frequency size for the life of the stream.
-        """
-        if self.pool_f is None:
-            self.pool_f = np.zeros((self.window, 2, f_dim), dtype=F64)
-            self.score_f = np.zeros((f_dim, f_dim), dtype=F64)
-            self.value_hist = _GrowBuf(self.channels * f_dim)
-            self.scratch_f = np.empty((f_dim, f_dim), dtype=F64)
-            self.outer_f = np.empty((f_dim, f_dim), dtype=F64)
-            self.cat64 = np.empty((3 * self.channels, f_dim), dtype=F64)
-            self.ft_buf = np.empty(self.channels * f_dim, dtype=F64)
-        elif f_dim != self.pool_f.shape[2]:
-            raise ConfigurationError(
-                f"frame has {f_dim} frequency bins, the stream started with "
-                f"{self.pool_f.shape[2]}")
-        self.pool_f[:-1] = self.pool_f[1:]
-        self.pool_c[:-1] = self.pool_c[1:]
-        self.count += 1
-        return self.count - 1
+    def allocate(self, f_dim: int) -> None:
+        """Size the frequency-dependent buffers from the first frames."""
+        self.score_f = np.zeros((f_dim, f_dim), dtype=F64)
+        self.value_hist = _GrowBuf(self.channels * f_dim)
+        self.scratch_f = np.empty((f_dim, f_dim), dtype=F64)
+        self.outer_f = np.empty((f_dim, f_dim), dtype=F64)
+        self.cat64 = np.empty((3 * self.channels, f_dim), dtype=F64)
+        self.ft_buf = np.empty(self.channels * f_dim, dtype=F64)
 
 
 class TfcaBlock:
@@ -165,28 +154,35 @@ class TfcaBlock:
         self._v_w = np.concatenate([self._vt_w, self._vf_w, self._vc_w], axis=0)
         self._v_b = np.concatenate([self._vt_b, self._vf_b, self._vc_b])[:, None]
 
-    def _check_shape(self, shape: tuple[int, ...], ndim: int) -> None:
-        if len(shape) != ndim or shape[0] != self.channels or shape[1] < 1:
-            dims = "F" if ndim == 2 else "F, T"
+    def _check_shape(self, shape: tuple[int, ...]) -> None:
+        if len(shape) != 3 or shape[0] != self.channels or shape[1] < 1:
             raise ConfigurationError(
-                f"expected ({self.channels}, {dims}) input with F >= 1, got shape {shape}")
+                f"expected ({self.channels}, F, n) input with F >= 1, got shape {shape}")
 
     # -- the per-frame projection, shared by both realizations -------------------
 
-    def project(self, x64: np.ndarray, pool_f: np.ndarray, pool_c: np.ndarray):
-        """Values, queries and keys of n frames.
+    def project(self, x: np.ndarray, state: TfcaState):
+        """Values, queries and keys of the (C, F, n) frames after those
+        ``state`` has seen.
 
-        ``x64`` is (n, C, F) float64, C-contiguous. ``pool_f`` is
-        (window - 1 + n, 2, F) and ``pool_c`` (window - 1 + n, 2, C), the
-        pooling rows of ``causal_pool_time`` with the window - 1 frames before
-        these as history; their last n rows are overwritten with these frames'
-        sums and maxes over C and over F. Returns the three branches' values
-        (n, 3C, F) float32, the time query and key (n, 2), and the frequency
-        and channel queries and keys (n, 2, F) and (n, 2, C), float64. Each
-        frame's products and reductions are the same calls whatever n is.
+        The frequency and channel pooling runs over ``causal_pool_time``
+        rows: the state's carried window - 1 rows, then these frames' sums and
+        maxes over C and over F; the state keeps the last window - 1 of them.
+        The first frames fix the frequency size for the life of the state.
+        Returns the three branches' values (n, 3C, F) float32, the time query
+        and key (n, 2), and the frequency and channel queries and keys
+        (n, 2, F) and (n, 2, C), float64. Each frame's products and
+        reductions are the same calls whatever n is.
         """
-        n, c, f_dim = x64.shape
+        c, f_dim, n = x.shape
         start = self.pool_window - 1
+        if state.pool_f is not None and f_dim != state.pool_f.shape[2]:
+            raise ConfigurationError(
+                f"frame has {f_dim} frequency bins, the stream started with "
+                f"{state.pool_f.shape[2]}")
+        pool_f = state.pool_f = with_history(state.pool_f, start, n, (2, f_dim))
+        pool_c = state.pool_c = with_history(state.pool_c, start, n, (2, c))
+        x64 = np.ascontiguousarray(x.transpose(2, 0, 1), F64)      # (n, C, F)
         v = self._v_w @ x64
         v += self._v_b
         # time: scalar q/k per frame from the frame's mean and max over (C, F),
@@ -210,70 +206,72 @@ class TfcaBlock:
         pooled[:, 0] /= self.pool_window * n_reduced
         return w @ pooled.astype(F32).astype(F64) + b
 
-    # -- streaming step ---------------------------------------------------------
+    # -- the cumulative realization: the one n-frame step ------------------------
 
     def init_state(self) -> TfcaState:
-        return TfcaState(self.channels, self.pool_window)
+        return TfcaState(self.channels)
 
-    def step(self, frame: np.ndarray, state: TfcaState) -> np.ndarray:
-        """Process one (C, F) frame; output frame depends on frames 0..t only."""
-        self._check_shape(frame.shape, 2)
-        c, f_dim = frame.shape
-        t = state.next_frame(f_dim)
-        v, tqk, fqk, cqk = self.project(frame.astype(F64)[None], state.pool_f, state.pool_c)
-        vt, vf, vc = v[0, :c], v[0, c:2 * c], v[0, 2 * c:]
+    def step(self, x: np.ndarray, state: TfcaState) -> np.ndarray:
+        """Cumulative attention of (C, F, n) frames after those ``state`` has
+        seen: output frame t depends on frames 0..t only."""
+        self._check_shape(x.shape)
+        c, f_dim, n = x.shape
+        if state.score_f is None:
+            state.allocate(f_dim)
+        v, tqk, fqk, cqk = self.project(x, state)
+        out = np.empty((n, c, f_dim), dtype=F32)
+        for i in range(n):
+            vt, vf, vc = v[i, :c], v[i, c:2 * c], v[i, 2 * c:]
+            denom = np.sqrt(state.count + 1.0)
+            state.count += 1
 
-        # time branch: masked row softmax over the history
-        state.key_hist.append(tqk[0, 1:])
-        state.value_hist.append(vt.ravel())
-        att_row = softmax_1d(tqk[0, 0] * state.key_hist.view()[:, 0])
-        np.matmul(att_row, state.value_hist.view(), out=state.ft_buf)
-        ft = state.ft_buf.reshape(c, f_dim).astype(F32)
+            # time branch: masked row softmax over the history
+            state.key_hist.append(tqk[i, 1:])
+            state.value_hist.append(vt.ravel())
+            att_row = row_softmax(tqk[i, 0] * state.key_hist.view()[:, 0])
+            np.matmul(att_row, state.value_hist.view(), out=state.ft_buf)
+            ft = state.ft_buf.reshape(c, f_dim).astype(F32)
 
-        denom = np.sqrt(t + 1.0)
+            # frequency branch: running score sum
+            qf, kf = fqk[i]
+            np.multiply(qf[:, None], kf[None, :], out=state.outer_f)
+            state.score_f += state.outer_f
+            state.bound_f += float(np.abs(qf).max() * np.abs(kf).max())
+            exp_f, z_f = _exp_scores_into(state.score_f, denom, state.bound_f, state.scratch_f)
+            ff = vf.astype(F64) @ exp_f.T
+            ff *= (1.0 / z_f)[None, :]          # softmax row sums applied per column
+            ff = ff.astype(F32)
 
-        # frequency branch: running score sum
-        qf, kf = fqk[0]
-        np.multiply(qf[:, None], kf[None, :], out=state.outer_f)
-        state.score_f += state.outer_f
-        state.bound_f += float(np.abs(qf).max() * np.abs(kf).max())
-        exp_f, z_f = _exp_scores_into(state.score_f, denom, state.bound_f, state.scratch_f)
-        ff = vf.astype(F64) @ exp_f.T
-        ff *= (1.0 / z_f)[None, :]          # softmax row sums applied per column
-        ff = ff.astype(F32)
+            # channel branch: same recipe with the roles of C and F swapped
+            qc, kc = cqk[i]
+            np.multiply(qc[:, None], kc[None, :], out=state.outer_c)
+            state.score_c += state.outer_c
+            state.bound_c += float(np.abs(qc).max() * np.abs(kc).max())
+            exp_c, z_c = _exp_scores_into(state.score_c, denom, state.bound_c, state.scratch_c)
+            fc = exp_c @ vc.astype(F64)
+            fc *= (1.0 / z_c)[:, None]
+            fc = fc.astype(F32)
 
-        # channel branch: same recipe with the roles of C and F swapped
-        qc, kc = cqk[0]
-        np.multiply(qc[:, None], kc[None, :], out=state.outer_c)
-        state.score_c += state.outer_c
-        state.bound_c += float(np.abs(qc).max() * np.abs(kc).max())
-        exp_c, z_c = _exp_scores_into(state.score_c, denom, state.bound_c, state.scratch_c)
-        fc = exp_c @ vc.astype(F64)
-        fc *= (1.0 / z_c)[:, None]
-        fc = fc.astype(F32)
+            cat = state.cat64
+            cat[:c] = ft
+            cat[c:2 * c] = ff
+            cat[2 * c:] = fc
+            out[i] = self._out_w @ cat + self._out_b[:, None]
+        return out.transpose(1, 2, 0)
 
-        cat = state.cat64
-        cat[:c] = ft
-        cat[c:2 * c] = ff
-        cat[2 * c:] = fc
-        return (self._out_w @ cat + self._out_b[:, None]).astype(F32)
-
-    # -- batch forward ----------------------------------------------------------
+    # -- whole-map forward --------------------------------------------------------
 
     def forward(self, x: np.ndarray, mode: str = "cumulative") -> np.ndarray:
-        """Shape-preserving recalibration of a (C, F, T) map."""
+        """Shape-preserving recalibration of a (C, F, T) map; cumulative is
+        ``step`` on a fresh state."""
         x = np.asarray(x, dtype=F32)
-        self._check_shape(x.shape, 3)
+        self._check_shape(x.shape)
         if mode not in MODES:
             raise ConfigurationError(f"unknown attention mode {mode!r}")
         if mode == "offline" and x.shape[2]:
             return self._forward_offline(x)
         # cumulative, or an empty map, which both modes return empty
-        state = self.init_state()
-        out = np.empty_like(x)
-        for t in range(x.shape[2]):
-            out[:, :, t] = self.step(x[:, :, t], state)
-        return out
+        return self.step(x, self.init_state())
 
     def _offline(self, x: np.ndarray):
         """The projection of a whole (C, F, T) map and its offline attention.
@@ -282,11 +280,8 @@ class TfcaBlock:
         then the time (T, T), frequency (F, F) and channel (C, C) attention
         matrices, float64.
         """
-        c, f_dim, t_dim = x.shape
-        rows = self.pool_window - 1 + t_dim
-        v, tqk, fqk, cqk = self.project(np.ascontiguousarray(x.transpose(2, 0, 1), F64),
-                                        np.zeros((rows, 2, f_dim)), np.zeros((rows, 2, c)))
-        scale = np.sqrt(t_dim)
+        v, tqk, fqk, cqk = self.project(x, self.init_state())
+        scale = np.sqrt(x.shape[2])
         return (np.ascontiguousarray(v.transpose(1, 2, 0), F64),
                 masked_softmax(np.outer(tqk[:, 0], tqk[:, 1])),
                 row_softmax(fqk[:, 0].T @ fqk[:, 1] / scale),
@@ -314,7 +309,7 @@ class TfcaBlock:
         order.
         """
         x = np.asarray(x, dtype=F32)
-        self._check_shape(x.shape, 3)
+        self._check_shape(x.shape)
         if mode not in MODES:
             raise ConfigurationError(f"unknown attention mode {mode!r}")
         if not x.shape[2]:
@@ -322,8 +317,7 @@ class TfcaBlock:
         _, att_t, att_f, att_c = self._offline(x)
         if mode == "cumulative":
             state = self.init_state()
-            for t in range(x.shape[2]):
-                self.step(x[:, :, t], state)
+            self.step(x, state)
             scale = np.sqrt(x.shape[2])
             att_f = row_softmax(state.score_f / scale)
             att_c = row_softmax(state.score_c / scale)

@@ -8,10 +8,12 @@ Each block runs two residual stages on a (C, F, T) map:
      a projection back to C, with the hidden state carried across frames.
 
 Stage 1 touches one frame at a time and stage 2 only looks backwards, so the
-block is strictly time-causal. The batch run does stage 1 for many frames
-per stacked pass and stage 2 as one loop over time; each frame's products
-are the same calls as in the frame-by-frame run, which therefore reproduces
-the batch output bit for bit.
+block is strictly time-causal. The one ``step`` runs n frames: stage 1 on up
+to ``FRAMES_PER_PASS`` frames per stacked pass, then stage 2 as a loop over
+the n frames from the carried hidden state, with all bins as its batch. Each
+frame's products are the same calls whatever n is, so a stream's one-frame
+steps reproduce the whole-map ``forward`` (a step on a fresh state) bit for
+bit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import FRAMES_PER_PASS, BiGru, F32, F64, GruParams, gru_step, gru_step_pre
+from .nn import BiGru, F32, F64, GruParams, gru_step_pre, in_passes
 
 
 class TfsmState:
@@ -71,30 +73,23 @@ class TfsmBlock:
         """Stage 2's residual projection of the time-GRU state; float32."""
         return (inp + (hidden @ self.tproj_w.T + self.tproj_b)).astype(F32)
 
-    def step(self, frame: np.ndarray, state: TfsmState) -> np.ndarray:
-        """One (C, F) frame through both residual stages."""
-        c, f_dim = frame.shape
+    def step(self, x: np.ndarray, state: TfsmState) -> np.ndarray:
+        """(C, F, n) frames after the carried ones through both residual stages."""
+        c, f_dim, n = x.shape
         self._check_channels(c)
-        inp = self._freq_stage(frame.astype(F64).T[None])[0]      # (F, C)
-        if state.hidden is None:
-            state.hidden = np.zeros((f_dim, self.hidden), dtype=F64)
-        state.hidden = gru_step(inp, state.hidden, self.time)
-        return self._time_out(inp, state.hidden).T
+        seq = x.astype(F64).transpose(2, 1, 0)                     # (n, F, C)
+        inp = in_passes(self._freq_stage, seq)
+        gx = inp @ self.time.w_in.T
+        hidden = np.empty((n, f_dim, self.hidden), dtype=F64)
+        h = np.zeros((f_dim, self.hidden), dtype=F64) if state.hidden is None else state.hidden
+        for t in range(n):
+            h = hidden[t] = gru_step_pre(gx[t], h, self.time)
+        state.hidden = h
+        return self._time_out(inp, hidden).transpose(2, 1, 0)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Batch run over (C, F, T): stage 1 on up to ``FRAMES_PER_PASS``
-        frames per call, then the time recurrence with all bins as its batch."""
+        """Whole (C, F, T) map, zero hidden state before frame 0."""
         x = np.asarray(x, dtype=F32)
         if x.ndim != 3:
             raise ConfigurationError(f"expected (C, F, T) input, got shape {x.shape}")
-        c, f_dim, t_dim = x.shape
-        self._check_channels(c)
-        seq = x.astype(F64).transpose(2, 1, 0)                     # (T, F, C)
-        inp = np.concatenate([self._freq_stage(seq[s:s + FRAMES_PER_PASS])
-                              for s in range(0, t_dim, FRAMES_PER_PASS)])
-        gx = inp @ self.time.w_in.T
-        hidden = np.empty((t_dim, f_dim, self.hidden), dtype=F64)
-        h = np.zeros((f_dim, self.hidden), dtype=F64)
-        for t in range(t_dim):
-            h = hidden[t] = gru_step_pre(gx[t], h, self.time)
-        return np.ascontiguousarray(self._time_out(inp, hidden).transpose(2, 1, 0))
+        return self.step(x, self.init_state())

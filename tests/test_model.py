@@ -24,7 +24,8 @@ from ofifnet.model import (
     target_mask,
     weight_layout,
 )
-from ofifnet.nn import conv_frame_taps, deconv_frame_taps
+from ofifnet.nn import FRAMES_PER_PASS, conv_frame_taps, deconv_frame_taps
+from ofifnet.tfca import TFCA_PARAM_SHAPES
 
 F32 = np.float32
 
@@ -54,13 +55,22 @@ class TestConfig:
 class TestParamCount:
 
     def test_degenerate_single_conv_block(self):
-        config = ModelConfig(in_channels=1, encoder_channels=(1,), decoder_channels=(),
+        # the smallest model: one single-channel 1x1 conv block, its attention
+        # skip, and one 1x1 deconv block emitting the mask
+        config = ModelConfig(in_channels=1, encoder_channels=(1,), decoder_channels=(1,),
                              kernel=(1, 1), stride=(1, 1), freq_pad=0, freq_out_pad=0,
                              tfsm_hidden=(), freq_bins=8, fuse_attention=False)
         tensors = init_weights(config, seed=0)
+        groups = param_breakdown(tensors)
         # one 1x1x1x1 weight + one bias, two learned norm scalars, one slope
-        assert param_count_of(tensors) == 2 + 2 + 1
-        assert param_breakdown(tensors)["enc.0"] == 5
+        assert groups["enc.0"] == 5
+        # weights from the two concatenated channels + one bias, two norm
+        # scalars, and no slope: the last block ends in Tanh
+        assert groups["dec.0"] == 2 + 1 + 2
+        attention = sum(int(np.prod(shape_of(1))) for _, shape_of in TFCA_PARAM_SHAPES)
+        assert groups["skip.0"] == attention
+        assert list(groups) == ["enc.0", "skip.0", "dec.0"]
+        assert param_count_of(tensors) == 5 + attention + 5
 
     def test_deployed_config_near_reported_size(self):
         tensors = init_weights(DEFAULT_CONFIG, seed=0)
@@ -161,43 +171,69 @@ class TestForward:
         assert mask.shape == (512, 29)
 
     def test_forward_without_decoder_rejected(self):
-        config = ModelConfig(in_channels=1, encoder_channels=(2,), decoder_channels=(),
-                             kernel=(1, 1), stride=(1, 1), freq_pad=0, freq_out_pad=0,
-                             tfsm_hidden=(), freq_bins=16, fuse_attention=False)
-        model = Model(config, init_weights(config, seed=0))
-        with pytest.raises(ConfigurationError):
-            model.forward(np.zeros(1000, dtype=F32))
+        # the mask comes from the last decoder block, so a decoder-less model
+        # is rejected where its configuration is built, before any forward
+        with pytest.raises(ConfigurationError, match="decoder"):
+            ModelConfig(in_channels=1, encoder_channels=(2,), decoder_channels=(),
+                        kernel=(1, 1), stride=(1, 1), freq_pad=0, freq_out_pad=0,
+                        tfsm_hidden=(), freq_bins=16, fuse_attention=False)
 
 
 def _block_and_input(model, name, rng, frames=20):
-    """A deployed conv/deconv/recurrent block and a random map of its input shape."""
-    kind, idx = name.split(".")
+    """A deployed block and a random map of its input shape in the network."""
+    kind, idx = name.split(".") if "." in name else (name, 0)
     idx = int(idx)
-    blk = getattr(model, kind)[idx]
+    blk = model.fuse if kind == "fuse" else getattr(model, kind)[idx]
     freqs = model.config.encoder_freqs()
-    if kind == "enc":
-        shape = (blk.c_in, freqs[idx])
-    elif kind == "tfsm":
-        shape = (blk.channels, freqs[-1])
-    else:
-        shape = (blk.c_in, freqs[-1 - idx])
-    return blk, rng.uniform(-1, 1, shape + (frames,)).astype(F32)
+    f_dim = {"fuse": freqs[0], "enc": freqs[idx], "tfsm": freqs[-1], "skip": freqs[idx + 1],
+             "dec": freqs[-1 - idx], "dectfca": freqs[-2 - idx]}[kind]
+    c = blk.c_in if kind in ("enc", "dec") else blk.channels
+    return blk, rng.uniform(-1, 1, (c, f_dim, frames)).astype(F32)
 
 
 CONV_BLOCKS = [f"enc.{i}" for i in range(5)] + [f"dec.{j}" for j in range(5)]
+ALL_BLOCKS = (["fuse"] + CONV_BLOCKS + [f"tfsm.{j}" for j in range(3)]
+              + [f"skip.{i}" for i in range(5)] + [f"dectfca.{j}" for j in range(4)])
+
+
+def _step_in_runs(blk, x, sizes):
+    """``step`` over consecutive runs of ``sizes`` frames with one carried state."""
+    state, outs, t = blk.init_state(), [], 0
+    for n in sizes:
+        outs.append(blk.step(x[:, :, t:t + n], state))
+        t += n
+    return np.concatenate(outs, axis=2)
 
 
 class TestBlockForwardEqualsSteps:
-    """The whole-map kernels against the frame steps that streaming runs."""
+    """Each block's one n-frame ``step``: the whole map (``forward``, a step on
+    a fresh state) against the frame-at-a-time steps a stream makes and
+    against uneven runs of frames."""
 
-    @pytest.mark.parametrize("name", CONV_BLOCKS + [f"tfsm.{j}" for j in range(3)])
+    @pytest.mark.parametrize("name", ALL_BLOCKS)
     def test_forward_bit_identical_to_steps(self, default_model, rng, name):
-        blk, x = _block_and_input(default_model, name, rng)
+        # more frames than one pass of the kernels takes
+        t_dim = FRAMES_PER_PASS + 8
+        blk, x = _block_and_input(default_model, name, rng, frames=t_dim)
+        whole = blk.forward(x)
+        assert whole.shape[2] == t_dim and whole.dtype == F32
+        assert _step_in_runs(blk, x, [t_dim]).tobytes() == whole.tobytes()
+        for sizes in ([1] * t_dim, [7, 1, 12, t_dim - 20]):
+            split = _step_in_runs(blk, x, sizes)
+            assert split.shape == whole.shape and split.dtype == F32
+            assert split.tobytes() == whole.tobytes(), sizes
+
+    @pytest.mark.parametrize("name, out_shape", [
+        ("fuse", (4, 512, 3)), ("enc.0", (16, 256, 3)), ("tfsm.0", (128, 16, 3)),
+        ("dec.4", (1, 512, 3))])
+    def test_step_of_three_frames(self, default_model, rng, name, out_shape):
+        # one call of step takes a (C, F, 3) map and returns three frames
+        blk, x = _block_and_input(default_model, name, rng, frames=6)
         state = blk.init_state()
-        stepped = np.stack([blk.step(x[:, :, t], state) for t in range(x.shape[2])], axis=2)
-        batch = blk.forward(x)
-        assert batch.shape == stepped.shape and batch.dtype == stepped.dtype == F32
-        assert batch.tobytes() == stepped.tobytes()
+        head = blk.step(x[:, :, :3], state)
+        assert head.shape == out_shape and head.dtype == F32
+        tail = blk.step(x[:, :, 3:], state)
+        assert np.concatenate([head, tail], axis=2).tobytes() == blk.forward(x).tobytes()
 
     # the kernels' float64 results, before rounding to float32 can hide a changed sum order
     @pytest.mark.parametrize("name", CONV_BLOCKS)

@@ -5,7 +5,7 @@ import pytest
 
 from ofifnet.errors import ConfigurationError, WeightError
 from ofifnet.model import _ConvBlock
-from ofifnet.nn import BN_EPS, BiGru, GruParams, causal_pool_time, gru_step, masked_softmax
+from ofifnet.nn import BN_EPS, BiGru, GruParams, causal_pool_time, gru_step_pre, masked_softmax
 from ofifnet.tfca import TFCA_PARAM_SHAPES, TfcaBlock
 
 F32 = np.float32
@@ -116,8 +116,8 @@ class TestDeconv2dCausal:
 
 
 class TestGru:
-    """The GRU cell as ``gru_step`` runs it, and the time recurrence of the live
-    ``TfsmBlock``."""
+    """The GRU cell as ``gru_step_pre`` runs it, and the time recurrence of the
+    live ``TfsmBlock``."""
 
     @staticmethod
     def random_params(rng, d_in, hidden, scale=0.5):
@@ -130,23 +130,24 @@ class TestGru:
         p = GruParams(np.zeros((6, 3)), np.zeros((6, 2)), np.zeros(6))
         h = np.zeros((4, 2))
         for _ in range(5):
-            h = gru_step(rng.uniform(-1, 1, (4, 3)), h, p)
+            h = gru_step_pre(rng.uniform(-1, 1, (4, 3)) @ p.w_in.T, h, p)
             assert np.all(h == 0.0)
 
     def test_single_step_equals_sequence_of_one(self, default_model, rng):
+        # a one-frame step is the first frame of a longer sequence
         blk = default_model.tfsm[2]
-        x = fmap(rng, 128, 16, 1)
-        stepped = blk.step(x[:, :, 0], blk.init_state())
-        assert stepped.tobytes() == blk.forward(x)[:, :, 0].tobytes()
+        x = fmap(rng, 128, 16, 5)
+        stepped = blk.step(x[:, :, :1], blk.init_state())
+        assert stepped.tobytes() == blk.forward(x)[:, :, :1].tobytes()
 
     def test_batch_equals_incremental_bit_exact(self, default_model, rng):
         # a state carried across two runs of steps gives the one-run output
         blk = default_model.tfsm[2]
         x = fmap(rng, 128, 16, 13)
         state = blk.init_state()
-        head = [blk.step(x[:, :, t], state) for t in range(6)]
-        tail = [blk.step(x[:, :, t], state) for t in range(6, 13)]
-        assert np.stack(head + tail, axis=2).tobytes() == blk.forward(x).tobytes()
+        head = blk.step(x[:, :, :6], state)
+        tail = blk.step(x[:, :, 6:], state)
+        assert np.concatenate([head, tail], axis=2).tobytes() == blk.forward(x).tobytes()
 
 
 def bigru_frames(x, fwd, bwd):
@@ -310,13 +311,11 @@ def project_map(x, window, picks):
     """The live attention projection of a whole (C, F, T) map, with the
     query/key weights in ``picks`` (name -> [w_avg, w_max]) and every other
     weight zero, so that a query or key is exactly one pooled statistic."""
-    c, f_dim, t_dim = x.shape
+    c = x.shape[0]
     params = {name: np.zeros(shape_of(c)) for name, shape_of in TFCA_PARAM_SHAPES}
     params.update({name: np.asarray(w, dtype=np.float64) for name, w in picks.items()})
-    rows = window - 1 + t_dim
-    return TfcaBlock(c, window, params).project(
-        np.ascontiguousarray(x.transpose(2, 0, 1), dtype=np.float64),
-        np.zeros((rows, 2, f_dim)), np.zeros((rows, 2, c)))
+    block = TfcaBlock(c, window, params)
+    return block.project(x, block.init_state())
 
 
 PICK = {"avg": [1.0, 0.0], "max": [0.0, 1.0]}

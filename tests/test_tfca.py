@@ -141,7 +141,7 @@ class TestTfcaForward:
         x = rng.uniform(-1, 1, (4, 9, 8)).astype(F32)
         batch = block.forward(x, mode="cumulative")
         state = block.init_state()
-        stepped = np.stack([block.step(x[:, :, t], state) for t in range(8)], axis=2)
+        stepped = np.concatenate([block.step(x[:, :, t:t + 1], state) for t in range(8)], axis=2)
         assert np.array_equal(batch, stepped)
 
 
@@ -162,24 +162,24 @@ ATTENTION_BLOCKS = ["fuse"] + [f"skip.{i}" for i in range(5)] + [f"dectfca.{j}" 
 
 class TestSharedProjection:
     """One projection serves both realizations: a whole map is one call at
-    n = T, a stream makes T calls at n = 1 with its carried pooling rows."""
+    n = T on a fresh state, a stream makes T calls at n = 1, each after the
+    pooling rows the state carries from the calls before."""
 
     @pytest.mark.parametrize("name", ATTENTION_BLOCKS)
     def test_whole_map_equals_frame_calls(self, default_model, rng, name):
         block, (c, f_dim) = deployed_attention_block(default_model, name)
         t_dim = 20                            # more frames than the pooling window
-        x64 = rng.uniform(-1, 1, (t_dim, c, f_dim)).astype(F32).astype(np.float64)
-        rows = block.pool_window - 1 + t_dim
-        whole = block.project(x64, np.zeros((rows, 2, f_dim)), np.zeros((rows, 2, c)))
-        state = block.init_state()
-        calls = []
-        for t in range(t_dim):
-            state.next_frame(f_dim)
-            calls.append(block.project(x64[t:t + 1], state.pool_f, state.pool_c))
+        x = rng.uniform(-1, 1, (c, f_dim, t_dim)).astype(F32)
+        whole = block.project(x, block.init_state())
         assert whole[0].shape == (t_dim, 3 * c, f_dim) and whole[0].dtype == F32
-        for k, part in enumerate(("values", "time q/k", "frequency q/k", "channel q/k")):
-            framewise = np.concatenate([call[k] for call in calls])
-            assert framewise.tobytes() == whole[k].tobytes(), part
+        for sizes in ([1] * t_dim, [7, 1, 12]):
+            state, calls, t = block.init_state(), [], 0
+            for n in sizes:
+                calls.append(block.project(x[:, :, t:t + n], state))
+                t += n
+            for k, part in enumerate(("values", "time q/k", "frequency q/k", "channel q/k")):
+                split = np.concatenate([call[k] for call in calls])
+                assert split.tobytes() == whole[k].tobytes(), (part, sizes)
 
 
 class TestDegenerateInputs:
@@ -194,14 +194,14 @@ class TestDegenerateInputs:
     def test_step_frequency_change_rejected(self, rng):
         block = make_block(rng, 3)
         state = block.init_state()
-        block.step(rng.uniform(-1, 1, (3, 24)).astype(F32), state)
+        block.step(rng.uniform(-1, 1, (3, 24, 1)).astype(F32), state)
         with pytest.raises(ConfigurationError):
-            block.step(rng.uniform(-1, 1, (3, 27)).astype(F32), state)
+            block.step(rng.uniform(-1, 1, (3, 27, 1)).astype(F32), state)
 
     def test_zero_frequency_bins_rejected(self, rng):
         block = make_block(rng, 3)
         with pytest.raises(ConfigurationError):
-            block.step(np.zeros((3, 0), dtype=F32), block.init_state())
+            block.step(np.zeros((3, 0, 1), dtype=F32), block.init_state())
         for mode in ("offline", "cumulative"):
             with pytest.raises(ConfigurationError):
                 block.forward(np.zeros((3, 0, 4), dtype=F32), mode=mode)

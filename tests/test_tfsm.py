@@ -54,7 +54,7 @@ class TestTfsmBlock:
         x = rng.uniform(-1, 1, (8, 6, 9)).astype(F32)
         batch = block.forward(x)
         state = block.init_state()
-        stepped = np.stack([block.step(x[:, :, t], state) for t in range(9)], axis=2)
+        stepped = np.concatenate([block.step(x[:, :, t:t + 1], state) for t in range(9)], axis=2)
         assert np.array_equal(batch, stepped)
 
     def test_three_block_stack_preserves_shape(self, rng):
