@@ -10,7 +10,6 @@ marks weight or configuration problems. The ``OFIF_LOG`` environment variable
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import math
 import os
@@ -43,6 +42,7 @@ from .model import (
     target_mask,
 )
 from .stream import StreamState, delay_from_emissions, stream_flush, stream_push, verify_causality
+from .tfca import MODES
 from .weights import read_weights, write_weights
 
 log = logging.getLogger("ofifnet.cli")
@@ -127,10 +127,8 @@ def _load_config(path) -> ModelConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc.strerror}") from exc
 
 
-def _load_model(weights_path, config_path, mode=None) -> Model:
+def _load_model(weights_path, config_path) -> Model:
     config = _load_config(config_path)
-    if mode is not None:
-        config = dataclasses.replace(config, attention_mode=mode)
     try:
         tensors = read_weights(weights_path)
     except OSError as exc:
@@ -148,10 +146,10 @@ def _mask_stats(mask: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_enhance(args) -> int:
-    model = _load_model(args.weights, args.config, args.mode)
+    model = _load_model(args.weights, args.config)
     wave = read_wav(getattr(args, "in"))
     t0 = time.perf_counter()
-    enhanced, mask = model.forward(wave)
+    enhanced, mask = model.forward(wave, mode=args.mode)
     elapsed = time.perf_counter() - t0
     write_wav(args.out, enhanced)
     print(_mask_stats(mask))
@@ -192,25 +190,24 @@ def cmd_verify(args) -> int:
     if args.length < min_length:
         raise UsageError(f"--length must be at least {min_length} samples")
     if args.weights is not None:
-        model = _load_model(args.weights, args.config, args.mode)
+        model = _load_model(args.weights, args.config)
     else:
         config = _load_config(args.config)
-        if args.mode is not None:
-            config = dataclasses.replace(config, attention_mode=args.mode)
         model = Model(config, init_weights(config, args.random_seed))
     rng = np.random.default_rng(args.random_seed)
     failures = 0
     for i in range(args.trials):
         split = int(rng.integers(stdct.WINDOW_SIZE, args.length - stdct.HOP_SIZE))
         report = verify_causality(model, seed=args.random_seed + 1000 + i,
-                                  split_sample=split, num_samples=args.length)
+                                  split_sample=split, num_samples=args.length,
+                                  mode=args.mode)
         if not report.passed:
             failures += 1
             print(f"trial {i}: {report.describe()}")
         elif args.verbose:
             print(f"trial {i}: {report.describe()}")
     verdict = "all passed" if failures == 0 else f"{failures} of {args.trials} failed"
-    print(f"causality: {verdict} (mode={model.config.attention_mode}, "
+    print(f"causality: {verdict} (mode={args.mode}, "
           f"trials={args.trials}, length={args.length})")
     return 0 if failures == 0 else 1
 
@@ -296,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--out", required=True, help="output WAV (32-bit float)")
     pe.add_argument("--weights", required=True)
     pe.add_argument("--config", default=None, help="JSON config sidecar (default: built-in)")
-    pe.add_argument("--mode", choices=["offline", "cumulative"], default=None)
+    pe.add_argument("--mode", choices=MODES, default="cumulative",
+                    help="attention realization (default: cumulative, the one a stream runs)")
     pe.set_defaults(func=cmd_enhance)
 
     ps = sub.add_parser("stream", help="chunked streaming enhancement")
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--random-seed", type=non_negative_int, default=0,
                     help="seed for trials, and for weights when --weights is omitted")
     pv.add_argument("--trials", type=int, required=True)
-    pv.add_argument("--mode", choices=["offline", "cumulative"], default=None)
+    pv.add_argument("--mode", choices=MODES, default="cumulative")
     pv.add_argument("--length", type=int, default=13184)
     pv.add_argument("--verbose", action="store_true")
     pv.set_defaults(func=cmd_verify)

@@ -13,10 +13,14 @@ offline forward once with whole (C, F, T) maps through each block's
 ``forward``, which is ``step`` on a fresh state (attention excepted, whose
 offline realization is its own method).
 
-Weight tensors live in a flat name -> array mapping with canonical dotted
-paths (``enc.0.conv.w`` ...); ``weight_layout`` enumerates the exact names and
-shapes a configuration requires, and loading validates against it tensor by
-tensor.
+``Model.forward`` takes the attention mode per call.
+
+``ModelConfig`` holds only what a weight file can vary; the input's 4
+channels (``ofif.NUM_CHANNELS``) and 512 bins (``stdct.DCT_SIZE``) are fixed
+by the analysis. Weight tensors live in a flat name -> array mapping with
+canonical dotted paths (``enc.0.conv.w`` ...); ``weight_layout`` enumerates
+the exact names and shapes a configuration requires, and loading validates
+against it tensor by tensor.
 """
 
 from __future__ import annotations
@@ -49,11 +53,16 @@ SI_SNR_CAP_DB = 120.0
 MASK_EPS = 1e-8
 
 
+#: sidecar keys of settings the engine derives or takes per call, each
+#: accepted only at the value the engine runs, so older sidecars still load
+RETIRED_KEYS = {"in_channels": ofif.NUM_CHANNELS, "freq_bins": stdct.DCT_SIZE,
+                "fuse_attention": True, "attention_mode": "cumulative"}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    """Structural hyperparameters; the default values are the deployed setup."""
+    """What a weight file can vary; the default values are the deployed setup."""
 
-    in_channels: int = 4
     encoder_channels: tuple[int, ...] = (16, 32, 64, 128, 128)
     decoder_channels: tuple[int, ...] = (128, 64, 32, 16, 1)
     kernel: tuple[int, int] = (5, 2)
@@ -62,15 +71,10 @@ class ModelConfig:
     freq_out_pad: int = 1
     tfsm_hidden: tuple[int, ...] = (128, 64, 32)
     pool_window: int = 15
-    freq_bins: int = 512
-    fuse_attention: bool = True
-    attention_mode: str = "cumulative"
 
     def __post_init__(self):
-        if self.attention_mode not in MODES:
-            raise ConfigurationError(f"attention_mode must be one of {MODES}")
-        if self.in_channels < 1 or self.freq_bins < 1 or self.pool_window < 1:
-            raise ConfigurationError("channel, frequency, and pooling sizes must be >= 1")
+        if self.pool_window < 1:
+            raise ConfigurationError("pooling window must be >= 1")
         if self.stride[1] != 1:
             raise ConfigurationError("time stride must be 1")
         if not self.decoder_channels:
@@ -83,7 +87,7 @@ class ModelConfig:
 
     def encoder_freqs(self) -> list[int]:
         """Frequency sizes entering each encoder block, plus the bottleneck size."""
-        freqs = [self.freq_bins]
+        freqs = [stdct.DCT_SIZE]
         for _ in self.encoder_channels:
             nxt = conv2d_out_freq(freqs[-1], self.kernel[0], self.stride[0], self.freq_pad)
             if nxt < 1:
@@ -95,9 +99,9 @@ class ModelConfig:
                                   self.freq_pad, self.freq_out_pad)
             if f < 1:
                 raise ConfigurationError("decoder collapses the frequency axis to nothing")
-        if f != self.freq_bins:
+        if f != stdct.DCT_SIZE:
             raise ConfigurationError(
-                f"decoder returns {f} frequency bins instead of {self.freq_bins}; "
+                f"decoder returns {f} frequency bins instead of {stdct.DCT_SIZE}; "
                 "adjust padding so the ladders mirror")
         return freqs
 
@@ -110,6 +114,15 @@ class ModelConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigurationError("config must be a JSON object")
+        for key, runs in RETIRED_KEYS.items():
+            value = data.pop(key, runs)
+            if type(value) is not type(runs) or value != runs:
+                hint = ("drop it and choose the mode per call, as --mode offline"
+                        if key == "attention_mode" else f"the engine runs only {json.dumps(runs)}")
+                raise ConfigurationError(
+                    f"retired config field {key!r} is {json.dumps(value)}: {hint}")
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         unknown = set(data) - known
         if unknown:
@@ -138,9 +151,8 @@ def weight_layout(config: ModelConfig) -> "OrderedDict[str, tuple[int, ...]]":
     """Every tensor name and shape the configuration requires, canonical order."""
     k_f, k_t = config.kernel
     out: "OrderedDict[str, tuple[int, ...]]" = OrderedDict()
-    if config.fuse_attention:
-        out.update(_tfca_layout("fuse", config.in_channels))
-    c_prev = config.in_channels
+    out.update(_tfca_layout("fuse", ofif.NUM_CHANNELS))
+    c_prev = ofif.NUM_CHANNELS
     for i, c in enumerate(config.encoder_channels):
         out[f"enc.{i}.conv.w"] = (c, c_prev, k_f, k_t)
         out[f"enc.{i}.conv.b"] = (c,)
@@ -323,8 +335,7 @@ class Model:
 
     def _build(self):
         cfg = self.config
-        self.fuse = (TfcaBlock(cfg.in_channels, cfg.pool_window, self._sub("fuse"))
-                     if cfg.fuse_attention else None)
+        self.fuse = TfcaBlock(ofif.NUM_CHANNELS, cfg.pool_window, self._sub("fuse"))
         self.enc: list[_ConvBlock] = []
         for i in range(len(cfg.encoder_channels)):
             p = self._sub(f"enc.{i}")
@@ -350,21 +361,12 @@ class Model:
             if not last:
                 self.dectfca.append(TfcaBlock(c, cfg.pool_window, self._sub(f"dectfca.{j}")))
 
-    # -- bookkeeping -----------------------------------------------------------
-
-    def param_count(self) -> int:
-        return param_count_of(self.tensors)
-
-    def param_breakdown(self) -> "OrderedDict[str, int]":
-        return param_breakdown(self.tensors)
-
     # -- inference ---------------------------------------------------------------
 
     @property
     def blocks(self) -> list:
         """Every layer block, in the order ``walk`` first runs them."""
-        return ([self.fuse] if self.fuse is not None else []) + [
-            *self.enc, *self.tfsm, *self.skip, *self.dec, *self.dectfca]
+        return [self.fuse, *self.enc, *self.tfsm, *self.skip, *self.dec, *self.dectfca]
 
     def walk(self, x: np.ndarray, run_block) -> np.ndarray:
         """Run the fused input through the network; returns the mask.
@@ -377,8 +379,7 @@ class Model:
         concatenated with its attention-recalibrated encoder skip, and every
         decoder block but the last is followed by an attention block.
         """
-        if self.fuse is not None:
-            x = run_block(self.fuse, x)
+        x = run_block(self.fuse, x)
         enc_outs = []
         for blk in self.enc:
             x = run_block(blk, x)
@@ -393,11 +394,12 @@ class Model:
                 x = run_block(self.dectfca[j], x)
         return x[0]
 
-    def forward(self, wave: np.ndarray, mode: str | None = None):
+    def forward(self, wave: np.ndarray, mode: str = "cumulative"):
         """Enhance a waveform; returns (enhanced, mask) with len(enhanced) == len(wave).
 
-        ``mode`` overrides the configured attention mode. A waveform holding
-        NaN or infinity raises ``NonFiniteInputError``.
+        ``mode`` picks the attention realization: ``cumulative`` (one push
+        through a fresh stream) or ``offline``. A waveform holding NaN or
+        infinity raises ``NonFiniteInputError``.
         """
         # imported per call, not at module level, so that a stream_push
         # replaced on the stream module (as the benchmark's tracing does) is
@@ -409,7 +411,6 @@ class Model:
         if n_samples < stdct.WINDOW_SIZE:
             raise SignalTooShortError(
                 f"need at least {stdct.WINDOW_SIZE} samples, got {n_samples}")
-        mode = mode or self.config.attention_mode
         if mode not in MODES:
             raise ConfigurationError(f"unknown attention mode {mode!r}")
         if mode == "cumulative":

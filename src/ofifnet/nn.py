@@ -275,12 +275,7 @@ def masked_softmax(scores: np.ndarray) -> np.ndarray:
     s = _f64(np.asarray(scores))
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ConfigurationError(f"masked_softmax needs a square matrix, got {s.shape}")
-    t = s.shape[0]
-    keep = np.tril(np.ones((t, t), dtype=bool))
-    neg = np.where(keep, s, -np.inf)
-    m = neg.max(axis=1, keepdims=True)
-    e = np.exp(neg - m)
-    return e / e.sum(axis=1, keepdims=True)
+    return row_softmax(np.where(np.tri(s.shape[0], dtype=bool), s, -np.inf))
 
 
 def row_softmax(scores: np.ndarray) -> np.ndarray:

@@ -13,8 +13,10 @@ their n = 1 case: the analysis ``ofif_stack_frames``, the network walk
 and its carried state, and an ``OverlapAdd`` whose buffer stays one window
 long however long the stream runs. Because every stage gives the same bits
 whatever the chunking, the concatenated output is bit-identical across
-chunkings and equal to the offline cumulative-mode forward pass, which is
-itself a single push through this engine.
+chunkings and equal to the cumulative-mode forward pass, which is itself a
+single push through this engine. A ``StreamState`` is bound to the model it
+was opened on: pushing or flushing it through another raises
+``ConfigurationError`` and changes nothing.
 """
 
 from __future__ import annotations
@@ -39,13 +41,10 @@ HOP = stdct.HOP_SIZE
 
 
 class StreamState:
-    """Private per-stream state; a model may serve many streams concurrently."""
+    """Private per-stream state bound to its model; a model may serve many streams concurrently."""
 
     def __init__(self, model):
-        if model.config.attention_mode != "cumulative":
-            raise ConfigurationError(
-                "streaming requires a model in cumulative attention mode; the offline "
-                "realization needs the whole utterance before the first output frame")
+        self.model = model
         self.closed = False
         self.consumed = 0
         self.emitted = 0
@@ -61,6 +60,10 @@ class StreamState:
         self._block_states = {blk: blk.init_state() for blk in model.blocks}
 
     # -- internals ----------------------------------------------------------------
+
+    def _check_model(self, model) -> None:
+        if model is not self.model:
+            raise ConfigurationError("stream was opened on a different model")
 
     def _step_block(self, block, x: np.ndarray) -> np.ndarray:
         return block.step(x, self._block_states[block])
@@ -98,6 +101,7 @@ def stream_push(state: StreamState, model, chunk: np.ndarray) -> np.ndarray:
     the stream exactly as it was, so later pushes continue as if it had never
     been made.
     """
+    state._check_model(model)
     if state.closed:
         raise StreamClosedError("stream already flushed; no further pushes accepted")
     chunk = np.asarray(chunk, dtype=F32).ravel()
@@ -125,6 +129,7 @@ def stream_flush(state: StreamState, model) -> np.ndarray:
     After the flush the total emitted sample count equals the total consumed
     count. A second flush raises.
     """
+    state._check_model(model)
     if state.closed:
         raise StreamClosedError("stream already flushed")
     state.closed = True
@@ -216,8 +221,8 @@ class CausalityReport:
                 f"prefix={self.prefix_length} first_divergence={div}{lat}")
 
 
-def verify_causality(model, seed: int, split_sample: int,
-                     num_samples: int = 13184, chunk: int = HOP) -> CausalityReport:
+def verify_causality(model, seed: int, split_sample: int, num_samples: int = 13184,
+                     chunk: int = HOP, mode: str = "cumulative") -> CausalityReport:
     """Drive two inputs that agree before ``split_sample`` and compare outputs.
 
     Outputs must be bit-identical on samples 0 .. split - W - 1: one window of
@@ -232,15 +237,14 @@ def verify_causality(model, seed: int, split_sample: int,
     base = rng.uniform(-1.0, 1.0, num_samples).astype(F32)
     alt = base.copy()
     alt[split_sample:] = rng.uniform(-1.0, 1.0, num_samples - split_sample).astype(F32)
-    mode = model.config.attention_mode
     latency = None
     if mode == "cumulative":
         out_a, st_a = _run_stream(model, base, chunk)
         out_b, st_b = _run_stream(model, alt, chunk)
         latency = delay_from_emissions(st_a)
     else:
-        out_a, _ = model.forward(base)
-        out_b, _ = model.forward(alt)
+        out_a, _ = model.forward(base, mode=mode)
+        out_b, _ = model.forward(alt, mode=mode)
     prefix = max(0, split_sample - WINDOW)
     bits_a = out_a.view(np.uint32)
     bits_b = out_b.view(np.uint32)

@@ -113,8 +113,6 @@ class TfcaState:
         # scratch reused every frame to keep the hot loop allocation-free
         self.scratch_f: np.ndarray | None = None
         self.scratch_c = np.empty((channels, channels), dtype=F64)
-        self.outer_c = np.empty((channels, channels), dtype=F64)
-        self.outer_f: np.ndarray | None = None
         self.cat64: np.ndarray | None = None
         self.ft_buf: np.ndarray | None = None
 
@@ -123,7 +121,6 @@ class TfcaState:
         self.score_f = np.zeros((f_dim, f_dim), dtype=F64)
         self.value_hist = _GrowBuf(self.channels * f_dim)
         self.scratch_f = np.empty((f_dim, f_dim), dtype=F64)
-        self.outer_f = np.empty((f_dim, f_dim), dtype=F64)
         self.cat64 = np.empty((3 * self.channels, f_dim), dtype=F64)
         self.ft_buf = np.empty(self.channels * f_dim, dtype=F64)
 
@@ -232,10 +229,11 @@ class TfcaBlock:
             np.matmul(att_row, state.value_hist.view(), out=state.ft_buf)
             ft = state.ft_buf.reshape(c, f_dim).astype(F32)
 
-            # frequency branch: running score sum
+            # frequency branch: running score sum; the frame's outer product
+            # goes through the scratch buffer the exp then overwrites
             qf, kf = fqk[i]
-            np.multiply(qf[:, None], kf[None, :], out=state.outer_f)
-            state.score_f += state.outer_f
+            np.multiply(qf[:, None], kf[None, :], out=state.scratch_f)
+            state.score_f += state.scratch_f
             state.bound_f += float(np.abs(qf).max() * np.abs(kf).max())
             exp_f, z_f = _exp_scores_into(state.score_f, denom, state.bound_f, state.scratch_f)
             ff = vf.astype(F64) @ exp_f.T
@@ -244,8 +242,8 @@ class TfcaBlock:
 
             # channel branch: same recipe with the roles of C and F swapped
             qc, kc = cqk[i]
-            np.multiply(qc[:, None], kc[None, :], out=state.outer_c)
-            state.score_c += state.outer_c
+            np.multiply(qc[:, None], kc[None, :], out=state.scratch_c)
+            state.score_c += state.scratch_c
             state.bound_c += float(np.abs(qc).max() * np.abs(kc).max())
             exp_c, z_c = _exp_scores_into(state.score_c, denom, state.bound_c, state.scratch_c)
             fc = exp_c @ vc.astype(F64)

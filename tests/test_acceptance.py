@@ -122,7 +122,7 @@ class TestAcceptance:
                   "row-stochastic (±1e-6); frequency/channel matrices row-stochastic; "
                   "cumulative final frame equals offline within 1e-6", t0)
 
-    def test_6_end_to_end_causality(self, default_model, offline_model):
+    def test_6_end_to_end_causality(self, default_model):
         t0 = time.perf_counter()
         num_samples = 13184                      # 100 analysis frames
         rng = np.random.default_rng(66)
@@ -138,8 +138,8 @@ class TestAcceptance:
                 worst_margin = margin if worst_margin is None else min(worst_margin, margin)
         offline_failed = False
         for i in range(2):
-            result = verify_causality(offline_model, seed=2000 + i,
-                                      split_sample=6000 + 500 * i, num_samples=num_samples)
+            result = verify_causality(default_model, seed=2000 + i, split_sample=6000 + 500 * i,
+                                      num_samples=num_samples, mode="offline")
             offline_failed = offline_failed or not result.passed
         assert offline_failed, "literal full-utterance attention unexpectedly causal"
         report(6, f"100 streaming trials bit-exact up to split-512 (min divergence "

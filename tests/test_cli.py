@@ -1,5 +1,6 @@
 """End-to-end command-line tests: WAV handling, exit codes, command contracts."""
 
+import json
 import struct
 
 import numpy as np
@@ -126,6 +127,20 @@ class TestEnhance:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("ERR:weights:") and "tfsm.0.time.W" in err
+
+    def test_retired_offline_mode_sidecar_exit_3(self, workdir, tmp_path, capsys):
+        # the mode is chosen per call; a sidecar may no longer carry it
+        data = json.loads(TEST_CONFIG.to_json())
+        data["attention_mode"] = "offline"
+        config = tmp_path / "offline.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "o.wav"
+        rc = main(["enhance", "--in", workdir["in"], "--out", str(out),
+                   "--weights", workdir["weights"], "--config", str(config)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("ERR:config:") and "--mode offline" in err
+        assert len(err.splitlines()) == 1 and not out.exists()
 
 
 class TestStream:

@@ -1,6 +1,6 @@
 """Model assembly, parameter accounting, forward contracts, objective functions."""
 
-import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -25,9 +25,21 @@ from ofifnet.model import (
     weight_layout,
 )
 from ofifnet.nn import FRAMES_PER_PASS, conv_frame_taps, deconv_frame_taps
+from ofifnet.ofif import NUM_CHANNELS
 from ofifnet.tfca import TFCA_PARAM_SHAPES
 
 F32 = np.float32
+
+
+# DEFAULT_CONFIG.to_json() as written while in_channels, freq_bins,
+# fuse_attention and attention_mode were config fields
+SIDECAR_WITH_RETIRED_KEYS = (
+    '{\n  "in_channels": 4,\n  "encoder_channels": [\n    16,\n    32,\n    64,\n'
+    '    128,\n    128\n  ],\n  "decoder_channels": [\n    128,\n    64,\n    32,\n'
+    '    16,\n    1\n  ],\n  "kernel": [\n    5,\n    2\n  ],\n  "stride": [\n    2,\n'
+    '    1\n  ],\n  "freq_pad": 2,\n  "freq_out_pad": 1,\n  "tfsm_hidden": [\n    128,\n'
+    '    64,\n    32\n  ],\n  "pool_window": 15,\n  "freq_bins": 512,\n'
+    '  "fuse_attention": true,\n  "attention_mode": "cumulative"\n}')
 
 
 class TestConfig:
@@ -38,6 +50,40 @@ class TestConfig:
     def test_json_round_trip(self):
         back = ModelConfig.from_json(DEFAULT_CONFIG.to_json())
         assert back == DEFAULT_CONFIG
+
+    def test_sidecar_with_retired_keys_loads(self):
+        # a sidecar written at the defaults while the analysis sizes, the fuse
+        # switch and the attention mode were still config fields
+        assert ModelConfig.from_json(SIDECAR_WITH_RETIRED_KEYS) == DEFAULT_CONFIG
+
+    @pytest.mark.parametrize("key, value", [
+        ("in_channels", 2), ("in_channels", 4.0), ("freq_bins", 1024),
+        ("fuse_attention", False), ("fuse_attention", 1), ("attention_mode", "bogus")])
+    def test_retired_key_at_other_value_rejected(self, key, value):
+        data = json.loads(SIDECAR_WITH_RETIRED_KEYS)
+        data[key] = value
+        with pytest.raises(ConfigurationError, match=key):
+            ModelConfig.from_json(json.dumps(data))
+
+    def test_retired_offline_mode_points_to_flag(self):
+        data = json.loads(SIDECAR_WITH_RETIRED_KEYS)
+        data["attention_mode"] = "offline"
+        with pytest.raises(ConfigurationError, match="attention_mode.*--mode offline"):
+            ModelConfig.from_json(json.dumps(data))
+
+    def test_ten_level_sidecar_at_1024_bins_rejected(self):
+        # its ladder mirrors at 1024 bins, but the analysis gives 512
+        data = {"encoder_channels": [2] * 10, "decoder_channels": [2] * 9 + [1],
+                "tfsm_hidden": [2], "freq_bins": 1024}
+        with pytest.raises(ConfigurationError, match="freq_bins"):
+            ModelConfig.from_json(json.dumps(data))
+        del data["freq_bins"]
+        with pytest.raises(ConfigurationError, match="frequency bins"):
+            ModelConfig.from_json(json.dumps(data))
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ConfigurationError, match="object"):
+            ModelConfig.from_json("[1, 2]")
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown"):
@@ -55,22 +101,27 @@ class TestConfig:
 class TestParamCount:
 
     def test_degenerate_single_conv_block(self):
-        # the smallest model: one single-channel 1x1 conv block, its attention
-        # skip, and one 1x1 deconv block emitting the mask
-        config = ModelConfig(in_channels=1, encoder_channels=(1,), decoder_channels=(1,),
-                             kernel=(1, 1), stride=(1, 1), freq_pad=0, freq_out_pad=0,
-                             tfsm_hidden=(), freq_bins=8, fuse_attention=False)
+        # the smallest model: the input attention, one single-channel 1x1 conv
+        # block, its attention skip, and one 1x1 deconv block emitting the mask
+        config = ModelConfig(encoder_channels=(1,), decoder_channels=(1,), kernel=(1, 1),
+                             stride=(1, 1), freq_pad=0, freq_out_pad=0, tfsm_hidden=())
         tensors = init_weights(config, seed=0)
         groups = param_breakdown(tensors)
-        # one 1x1x1x1 weight + one bias, two learned norm scalars, one slope
-        assert groups["enc.0"] == 5
+        c_in = tensors["enc.0.conv.w"].shape[1]
+        assert c_in == NUM_CHANNELS
+        # a 1x1 weight from each input channel + one bias, two learned norm
+        # scalars, one slope
+        assert groups["enc.0"] == c_in + 1 + 2 + 1
         # weights from the two concatenated channels + one bias, two norm
         # scalars, and no slope: the last block ends in Tanh
         assert groups["dec.0"] == 2 + 1 + 2
-        attention = sum(int(np.prod(shape_of(1))) for _, shape_of in TFCA_PARAM_SHAPES)
-        assert groups["skip.0"] == attention
-        assert list(groups) == ["enc.0", "skip.0", "dec.0"]
-        assert param_count_of(tensors) == 5 + attention + 5
+
+        def attention(c):
+            return sum(int(np.prod(shape_of(c))) for _, shape_of in TFCA_PARAM_SHAPES)
+        assert groups["fuse"] == attention(c_in)
+        assert groups["skip.0"] == attention(1)
+        assert list(groups) == ["fuse", "enc.0", "skip.0", "dec.0"]
+        assert param_count_of(tensors) == attention(c_in) + (c_in + 4) + attention(1) + 5
 
     def test_deployed_config_near_reported_size(self):
         tensors = init_weights(DEFAULT_CONFIG, seed=0)
@@ -174,9 +225,8 @@ class TestForward:
         # the mask comes from the last decoder block, so a decoder-less model
         # is rejected where its configuration is built, before any forward
         with pytest.raises(ConfigurationError, match="decoder"):
-            ModelConfig(in_channels=1, encoder_channels=(2,), decoder_channels=(),
-                        kernel=(1, 1), stride=(1, 1), freq_pad=0, freq_out_pad=0,
-                        tfsm_hidden=(), freq_bins=16, fuse_attention=False)
+            ModelConfig(encoder_channels=(2,), decoder_channels=(), kernel=(1, 1),
+                        stride=(1, 1), freq_pad=0, freq_out_pad=0, tfsm_hidden=())
 
 
 def _block_and_input(model, name, rng, frames=20):
@@ -364,9 +414,3 @@ class TestDeterminism:
         assert param_breakdown(a) == param_breakdown(b)
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
-
-    def test_offline_fixture_shares_weights(self, default_model, offline_model):
-        assert offline_model.config == dataclasses.replace(
-            default_model.config, attention_mode="offline")
-        np.testing.assert_array_equal(offline_model.tensors["enc.0.conv.w"],
-                                      default_model.tensors["enc.0.conv.w"])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofifnet.errors import ConfigurationError, EngineError, NonFiniteInputError, StreamClosedError
+from ofifnet.model import Model
 from ofifnet.stdct import HOP_SIZE, WINDOW_SIZE
 from ofifnet.stream import (
     StreamState,
@@ -99,10 +100,25 @@ class TestPushFlush:
         assert state.frame_index == 200
         assert (state._ola._acc.nbytes, state._ola._den.nbytes) == held
 
-    def test_offline_mode_cannot_stream(self, offline_model):
-        with pytest.raises(ConfigurationError):
-            StreamState(offline_model)
+    def test_another_model_rejected_before_state_changes(self, default_model, rng):
+        # same weights, but not the model the stream was opened on
+        other = Model(default_model.config, default_model.tensors)
+        wave = rng.uniform(-1, 1, 1200).astype(F32)
+        state = StreamState(default_model)
+        got = [stream_push(state, default_model, wave[:600])]
 
+        def snapshot():
+            return (state.consumed, state.emitted, state.frame_index, state.closed,
+                    state._buf.tobytes())
+        before = snapshot()
+        with pytest.raises(ConfigurationError, match="different model"):
+            stream_push(state, other, wave[600:900])
+        with pytest.raises(ConfigurationError, match="different model"):
+            stream_flush(state, other)
+        assert snapshot() == before
+        got += [stream_push(state, default_model, wave[600:]), stream_flush(state, default_model)]
+        ref, _ = run_chunked(default_model, wave, 600)
+        assert np.concatenate(got).tobytes() == ref.tobytes()
 
 class TestChunkingInvariance:
 
@@ -185,9 +201,9 @@ class TestVerifyCausality:
             assert report.first_divergence is not None
             assert report.first_divergence >= report.prefix_length
 
-    def test_offline_literal_mode_fails(self, offline_model):
-        report = verify_causality(offline_model, seed=3, split_sample=2500,
-                                  num_samples=4096)
+    def test_offline_literal_mode_fails(self, default_model):
+        report = verify_causality(default_model, seed=3, split_sample=2500,
+                                  num_samples=4096, mode="offline")
         assert not report.passed
         assert report.first_divergence < report.prefix_length
         assert report.latency is None

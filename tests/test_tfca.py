@@ -150,7 +150,7 @@ def deployed_attention_block(model, name):
     deployed network."""
     freqs = model.config.encoder_freqs()
     if name == "fuse":
-        return model.fuse, (model.config.in_channels, freqs[0])
+        return model.fuse, (model.fuse.channels, freqs[0])
     kind, idx = name.split(".")
     blk = getattr(model, kind)[int(idx)]
     f_dim = freqs[int(idx) + 1] if kind == "skip" else freqs[len(model.dec) - 1 - int(idx)]

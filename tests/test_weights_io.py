@@ -15,8 +15,8 @@ from ofifnet.weights import (
     write_weights_bytes,
 )
 
-SMALL = ModelConfig(in_channels=2, encoder_channels=(3, 4), decoder_channels=(3, 1),
-                    tfsm_hidden=(2,), freq_bins=32, pool_window=3)
+SMALL = ModelConfig(encoder_channels=(3, 4), decoder_channels=(3, 1),
+                    tfsm_hidden=(2,), pool_window=3)
 
 
 class TestRoundTrip:
