@@ -365,7 +365,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()          # a closed pipe surfaces here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader of standard output left early (``| head``), which is not
+        # an error; what is still buffered goes to the null device instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except tuple(e for e, _, _ in _ERROR_CODES) as exc:
         for etype, code, status in _ERROR_CODES:
             if isinstance(exc, etype):

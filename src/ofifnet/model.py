@@ -75,8 +75,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.pool_window < 1:
             raise ConfigurationError("pooling window must be >= 1")
+        if min(self.kernel) < 1:
+            raise ConfigurationError(f"kernel sizes must be >= 1, got {list(self.kernel)}")
         if self.stride[1] != 1:
             raise ConfigurationError("time stride must be 1")
+        if self.stride[0] < 1:
+            raise ConfigurationError(f"frequency stride must be >= 1, got {self.stride[0]}")
         if not self.decoder_channels:
             raise ConfigurationError("a model needs a decoder: its last block emits the mask")
         if len(self.decoder_channels) != len(self.encoder_channels):
@@ -245,16 +249,18 @@ class _ConvBlock:
 
     def __init__(self, w, b, gamma, beta, mean, var, slopes, stride, pad_f,
                  out_pad_f=None, transposed=False, final_tanh=False):
-        self.w64 = np.asarray(w, dtype=F64)
+        w64 = np.asarray(w, dtype=F64)
         self.b64 = np.asarray(b, dtype=F64)
         self.stride_f = stride[0]
         self.pad_f = pad_f
         self.out_pad_f = out_pad_f
         self.transposed = transposed
         self.final_tanh = final_tanh
-        self.k_t = self.w64.shape[3]
-        self.c_in = self.w64.shape[0] if transposed else self.w64.shape[1]
-        self._w_taps = deconv_tap_matrices(self.w64) if transposed else None
+        self.k_t = w64.shape[3]
+        self.c_in = w64.shape[0] if transposed else w64.shape[1]
+        # the kernel held once in float64: whole for a conv, per time tap for a deconv
+        self.w64 = None if transposed else w64
+        self._w_taps = deconv_tap_matrices(w64) if transposed else None
         var = np.asarray(var, dtype=F64)
         if np.any(var < 0):
             raise WeightError("batch-norm running variance contains negative entries")

@@ -215,15 +215,14 @@ class BiGru:
     """Both directions of a bidirectional GRU, stepped together as a batch of 2.
 
     Requires matching hidden and input sizes (the two directions are separate
-    weight sets, only their shapes must agree). Precomputes stacked transposed
-    weights once so the per-step work is a single batched matmul plus gates.
+    weight sets, only their shapes must agree). Keeps only the stacked transposed
+    weights, built once, so the per-step work is a single batched matmul plus
+    gates.
     """
 
     def __init__(self, fwd: GruParams, bwd: GruParams):
         if fwd.hidden != bwd.hidden or fwd.input_size != bwd.input_size:
             raise ConfigurationError("both directions need identical hidden/input sizes")
-        self.fwd = fwd
-        self.bwd = bwd
         self.hidden = fwd.hidden
         h = fwd.hidden
         self._w_in2 = np.stack([fwd.w_in.T, bwd.w_in.T])[:, None]          # (2, 1, d, 3h)

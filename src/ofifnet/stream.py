@@ -33,6 +33,7 @@ from .nn import F32, F64
 # benchmark's tracing does) see only the whole-utterance calls
 from .ofif import ofif_stack_frames
 from .stdct import OverlapAdd
+from .tfca import TfcaState
 
 log = logging.getLogger("ofifnet.stream")
 
@@ -58,6 +59,14 @@ class StreamState:
         self.first_emission_consumed: int | None = None
         self.mask_frames: list[np.ndarray] = []
         self._block_states = {blk: blk.init_state() for blk in model.blocks}
+
+    @property
+    def history_bytes(self) -> int:
+        """Bytes of attention history rows in use: the time branches' keys and
+        values, one row per frame and attention block for the life of the
+        stream (36,874 float64 values per frame at the default config)."""
+        return sum(s.history_bytes for s in self._block_states.values()
+                   if isinstance(s, TfcaState))
 
     # -- internals ----------------------------------------------------------------
 

@@ -28,9 +28,20 @@ bits. Only the attention itself has two realizations:
     frame by frame over its n frames after one projection; a stream steps one
     frame at a time, and the cumulative ``forward`` is one step of the whole
     map on a fresh state.
+
+The cumulative time branch attends over every past frame, so a ``TfcaState``
+keeps one key and one C*F-value float64 row per frame for the life of the
+stream. Each of the two histories lives in a private anonymous mapping of its
+own (``_GrowBuf``), created on the state's first step and doubled in place
+with ``mremap`` when full: no growth copies the history, only the rows written
+are resident, and a freed history goes straight back to the OS. Where the
+platform has no ``mremap``, growth takes a new mapping and one copy. Either
+way the time product reads one contiguous (t, C*F) float64 array.
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
@@ -75,22 +86,58 @@ def _exp_scores_into(scores: np.ndarray, denom: float, bound: float,
 
 
 class _GrowBuf:
-    """Append-only float64 row buffer with doubling capacity."""
+    """Append-only float64 rows in a private anonymous mapping of their own.
+
+    The mapping grows by doubling in place: ``mmap.resize`` is ``mremap``,
+    which moves page tables and copies no bytes. Only the rows written are
+    resident, and the mapping goes back to the OS when the buffer is freed.
+    ``view()`` is one contiguous (rows, cols) float64 array, as a numpy
+    buffer would be.
+    """
 
     def __init__(self, cols: int):
-        self._data = np.empty((128, cols), dtype=F64)
+        self._cols = cols
+        self._row_bytes = cols * np.dtype(F64).itemsize
+        self._map = mmap.mmap(-1, 128 * self._row_bytes, flags=mmap.MAP_PRIVATE)
+        self._data = self._rows()
         self._n = 0
 
+    def _rows(self) -> np.ndarray:
+        return np.frombuffer(self._map, dtype=F64).reshape(-1, self._cols)
+
+    @staticmethod
+    def _resize(buf: mmap.mmap, nbytes: int) -> None:
+        """Grow ``buf`` in place; raises ``SystemError`` where the platform has
+        no ``mremap``. A seam: replacing it forces the copying path."""
+        buf.resize(nbytes)
+
+    def _grow(self) -> None:
+        nbytes = 2 * len(self._map)
+        self._data = None              # a mapping cannot move while a view of it lives
+        try:
+            self._resize(self._map, nbytes)
+        except (SystemError, BufferError):
+            # no mremap here, or a caller still holds a view(): a new mapping
+            # and one copy of the rows; the old one goes with its last view
+            old = self._map
+            self._map = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+            self._map[:len(old)] = old
+        finally:
+            self._data = self._rows()
+
     def append(self, row: np.ndarray) -> None:
-        if self._n == self._data.shape[0]:
-            grown = np.empty((2 * self._n, self._data.shape[1]), dtype=F64)
-            grown[:self._n] = self._data
-            self._data = grown
+        if self._n == len(self._data):
+            self._grow()
         self._data[self._n] = row
         self._n += 1
 
     def view(self) -> np.ndarray:
         return self._data[:self._n]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the rows appended so far."""
+        return self._n * self._row_bytes
 
 
 class TfcaState:
@@ -108,7 +155,8 @@ class TfcaState:
         self.score_c = np.zeros((channels, channels), dtype=F64)
         self.bound_f = 0.0            # running bound on |score| entries per branch
         self.bound_c = 0.0
-        self.key_hist = _GrowBuf(1)
+        # the time branch's key and value histories, mapped on the first step
+        self.key_hist: _GrowBuf | None = None
         self.value_hist: _GrowBuf | None = None
         # scratch reused every frame to keep the hot loop allocation-free
         self.scratch_f: np.ndarray | None = None
@@ -119,10 +167,18 @@ class TfcaState:
     def allocate(self, f_dim: int) -> None:
         """Size the frequency-dependent buffers from the first frames."""
         self.score_f = np.zeros((f_dim, f_dim), dtype=F64)
+        self.key_hist = _GrowBuf(1)
         self.value_hist = _GrowBuf(self.channels * f_dim)
         self.scratch_f = np.empty((f_dim, f_dim), dtype=F64)
         self.cat64 = np.empty((3 * self.channels, f_dim), dtype=F64)
         self.ft_buf = np.empty(self.channels * f_dim, dtype=F64)
+
+    @property
+    def history_bytes(self) -> int:
+        """Bytes of time-branch key and value rows held, 8 * (1 + C * F) per frame."""
+        if self.value_hist is None:
+            return 0
+        return self.key_hist.nbytes + self.value_hist.nbytes
 
 
 class TfcaBlock:
@@ -133,23 +189,26 @@ class TfcaBlock:
             raise ConfigurationError("attention block needs channels >= 1 and window >= 1")
         self.channels = channels
         self.pool_window = pool_window
+        p = {}
         for name, shape_of in TFCA_PARAM_SHAPES:
             arr = np.asarray(params[name], dtype=F64)
             want = shape_of(channels)
             if arr.shape != want:
                 raise ConfigurationError(
                     f"attention tensor {name} has shape {arr.shape}, expected {want}")
-            setattr(self, "_" + name.replace(".", "_"), arr)
-        # fused projections: each branch's q and k together, all three values
-        # in one matmul; the time q and k stay elementwise products
-        self._tqk_w = np.stack([self._tq_w, self._tk_w], axis=1)    # [avg, max] rows
-        self._tqk_b = np.concatenate([self._tq_b, self._tk_b])
-        self._fqk_w = np.stack([self._fq_w, self._fk_w])
-        self._fqk_b = np.stack([self._fq_b, self._fk_b])
-        self._cqk_w = np.stack([self._cq_w, self._ck_w])
-        self._cqk_b = np.stack([self._cq_b, self._ck_b])
-        self._v_w = np.concatenate([self._vt_w, self._vf_w, self._vc_w], axis=0)
-        self._v_b = np.concatenate([self._vt_b, self._vf_b, self._vc_b])[:, None]
+            p[name] = arr
+        # each weight held once, fused: each branch's q and k together, all
+        # three values in one matmul; the time q and k stay elementwise products
+        self._tqk_w = np.stack([p["tq.w"], p["tk.w"]], axis=1)    # [avg, max] rows
+        self._tqk_b = np.concatenate([p["tq.b"], p["tk.b"]])
+        self._fqk_w = np.stack([p["fq.w"], p["fk.w"]])
+        self._fqk_b = np.stack([p["fq.b"], p["fk.b"]])
+        self._cqk_w = np.stack([p["cq.w"], p["ck.w"]])
+        self._cqk_b = np.stack([p["cq.b"], p["ck.b"]])
+        self._v_w = np.concatenate([p["vt.w"], p["vf.w"], p["vc.w"]], axis=0)
+        self._v_b = np.concatenate([p["vt.b"], p["vf.b"], p["vc.b"]])[:, None]
+        self._out_w = p["out.w"]
+        self._out_b = p["out.b"]
 
     def _check_shape(self, shape: tuple[int, ...]) -> None:
         if len(shape) != 3 or shape[0] != self.channels or shape[1] < 1:

@@ -36,15 +36,15 @@ class TfsmBlock:
     def __init__(self, channels: int, hidden: int, params: dict[str, np.ndarray]):
         self.channels = channels
         self.hidden = hidden
-        self.freq_fwd = GruParams(params["ffwd.W"], params["ffwd.U"], params["ffwd.b"])
-        self.freq_bwd = GruParams(params["fbwd.W"], params["fbwd.U"], params["fbwd.b"])
-        self._bigru = BiGru(self.freq_fwd, self.freq_bwd)
+        freq_fwd = GruParams(params["ffwd.W"], params["ffwd.U"], params["ffwd.b"])
+        freq_bwd = GruParams(params["fbwd.W"], params["fbwd.U"], params["fbwd.b"])
+        self._bigru = BiGru(freq_fwd, freq_bwd)
         self.time = GruParams(params["time.W"], params["time.U"], params["time.b"])
         self.fproj_w = np.asarray(params["fproj.w"], dtype=F64)
         self.fproj_b = np.asarray(params["fproj.b"], dtype=F64)
         self.tproj_w = np.asarray(params["tproj.w"], dtype=F64)
         self.tproj_b = np.asarray(params["tproj.b"], dtype=F64)
-        if self.freq_fwd.input_size != channels or self.time.input_size != channels:
+        if freq_fwd.input_size != channels or self.time.input_size != channels:
             raise ConfigurationError("recurrent input sizes must equal the channel count")
         if self.fproj_w.shape != (channels, 2 * hidden) or self.tproj_w.shape != (channels, hidden):
             raise ConfigurationError(

@@ -1,7 +1,11 @@
 """End-to-end command-line tests: WAV handling, exit codes, command contracts."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +248,29 @@ class TestWeightsTooling:
         out = capsys.readouterr().out
         assert rc == 0
         assert "total parameters:" in out and "module enc:" in out
+
+    @pytest.mark.parametrize("field", [{"kernel": [5, 0]}, {"stride": [0, 1]}])
+    def test_degenerate_kernel_or_stride_config_exit_3(self, tmp_path, capsys, field):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(field))
+        out = tmp_path / "w.ofn"
+        rc = main(["weights", "init", "--seed", "1", "--out", str(out), "--config", str(config)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("ERR:config:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_closed_stdout_pipe_exits_0_silently(self, workdir):
+        # as `ofifnet weights param-count w.ofn | head -1` once head has left
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ofifnet.cli", "weights", "param-count", workdir["weights"]],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()                 # the reader is gone before the first write
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
     def test_truncated_file_names_offset(self, workdir, tmp_path, capsys):
         blob = open(workdir["weights"], "rb").read()

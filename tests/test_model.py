@@ -93,6 +93,15 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ModelConfig(encoder_channels=(4, 8), decoder_channels=(8, 4, 1))
 
+    @pytest.mark.parametrize("kernel", [(5, 0), (0, 2)])
+    def test_kernel_size_below_one_rejected(self, kernel):
+        with pytest.raises(ConfigurationError, match="kernel sizes must be >= 1"):
+            ModelConfig.from_json(json.dumps({"kernel": list(kernel)}))
+
+    def test_frequency_stride_below_one_rejected(self):
+        with pytest.raises(ConfigurationError, match="frequency stride must be >= 1"):
+            ModelConfig.from_json(json.dumps({"stride": [0, 1]}))
+
     def test_non_mirror_padding_rejected(self):
         with pytest.raises(ConfigurationError):
             ModelConfig(freq_out_pad=0)

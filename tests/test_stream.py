@@ -135,6 +135,18 @@ class TestChunkingInvariance:
         streamed, _ = run_chunked(default_model, wave, 160)
         assert streamed.tobytes() == enhanced.tobytes()
 
+    def test_stream_past_history_growth_equals_forward(self, default_model, rng):
+        # 317 frames: every attention history grows at frames 128 and 256
+        wave = rng.uniform(-1, 1, 40960).astype(F32)
+        enhanced, _ = default_model.forward(wave)
+        for chunk in (HOP_SIZE, len(wave)):
+            out, state = run_chunked(default_model, wave, chunk)
+            assert out.tobytes() == enhanced.tobytes(), f"chunk={chunk} diverged"
+            # per frame: 10 time keys and the ten blocks' C * F values, 4 * 512
+            # (fuse) + 8 * 4096 (four skips, four decoder blocks) + 128 * 16
+            assert state.frame_index == 317
+            assert state.history_bytes == 317 * (10 + 36_864) * 8
+
     @settings(max_examples=8, deadline=None)
     @given(length=st.integers(WINDOW_SIZE, 3000), seed=st.integers(0, 2 ** 32 - 1),
            chunks=st.lists(st.one_of(st.just(0), st.just(1), st.integers(0, 900)),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ofifnet.errors import ConfigurationError
-from ofifnet.tfca import TFCA_PARAM_SHAPES, TfcaBlock
+from ofifnet.tfca import TFCA_PARAM_SHAPES, TfcaBlock, _GrowBuf
 
 F32 = np.float32
 
@@ -143,6 +143,37 @@ class TestTfcaForward:
         state = block.init_state()
         stepped = np.concatenate([block.step(x[:, :, t:t + 1], state) for t in range(8)], axis=2)
         assert np.array_equal(batch, stepped)
+
+
+class TestHistoryBuffer:
+    """The time branch's history rows survive every growth byte for byte."""
+
+    @staticmethod
+    def _no_mremap(buf, nbytes):
+        raise SystemError("mmap: resizing not available--no mremap()")
+
+    @pytest.mark.parametrize("path", ["resize", "copy", "held view"])
+    def test_rows_survive_three_growths(self, rng, monkeypatch, path):
+        if path == "copy":
+            monkeypatch.setattr(_GrowBuf, "_resize", staticmethod(self._no_mremap))
+        rows = rng.standard_normal((600, 37))
+        buf = _GrowBuf(37)
+        maps = [buf._map]
+        for i, row in enumerate(rows):
+            # a view held across an append keeps the mapping from moving
+            held = buf.view() if path == "held view" else None
+            buf.append(row)
+            if buf._map is not maps[-1]:
+                maps.append(buf._map)
+            assert buf.nbytes == (i + 1) * 37 * 8
+            assert held is None or held.tobytes() == rows[:i].tobytes()
+        del held
+        # 128 -> 256 -> 512 -> 1024 rows: growths at rows 128, 256 and 512
+        assert len(buf._data) == 1024
+        assert len(maps) == (1 if path == "resize" else 4)     # grown in place, or copied
+        view = buf.view()
+        assert view.shape == (600, 37) and view.flags.c_contiguous
+        assert view.tobytes() == rows.tobytes()
 
 
 def deployed_attention_block(model, name):
