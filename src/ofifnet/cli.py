@@ -90,12 +90,19 @@ def read_wav(path) -> np.ndarray:
     if rate != stdct.SAMPLE_RATE:
         raise WavFormatError(f"{path}: sample rate {rate}; only {stdct.SAMPLE_RATE} Hz is accepted")
     if audio_format == _FMT_PCM and bits == 16:
-        return (np.frombuffer(payload, dtype="<i2").astype(F32) / 32768.0).astype(F32)
-    if audio_format == _FMT_FLOAT and bits == 32:
-        return np.frombuffer(payload, dtype="<f4").astype(F32)
-    raise WavFormatError(
-        f"{path}: format tag {audio_format} with {bits} bits; accepted encodings are "
-        "16-bit PCM and 32-bit IEEE float")
+        dtype = "<i2"
+    elif audio_format == _FMT_FLOAT and bits == 32:
+        dtype = "<f4"
+    else:
+        raise WavFormatError(
+            f"{path}: format tag {audio_format} with {bits} bits; accepted encodings are "
+            "16-bit PCM and 32-bit IEEE float")
+    width = bits // 8
+    if len(payload) % width:
+        raise WavFormatError(f"{path}: data chunk of {len(payload)} bytes is not a whole "
+                             f"number of {width}-byte samples")
+    samples = np.frombuffer(payload, dtype=dtype).astype(F32)
+    return (samples / 32768.0).astype(F32) if dtype == "<i2" else samples
 
 
 def write_wav(path, samples: np.ndarray) -> None:

@@ -239,7 +239,7 @@ def param_breakdown(tensors: "OrderedDict[str, np.ndarray]") -> "OrderedDict[str
 
 class _ConvState:
     def __init__(self):
-        # (k_t - 1 + n, C_in, F) float64 input frames of the last step, oldest
+        # (k_t - 1 + n, C_in, F) float32 input frames of the last step, oldest
         # first; the last k_t - 1 of them are the history of the next
         self.frames: np.ndarray | None = None
 
@@ -249,26 +249,27 @@ class _ConvBlock:
 
     def __init__(self, w, b, gamma, beta, mean, var, slopes, stride, pad_f,
                  out_pad_f=None, transposed=False, final_tanh=False):
-        w64 = np.asarray(w, dtype=F64)
-        self.b64 = np.asarray(b, dtype=F64)
+        w = np.asarray(w, dtype=F32)
+        self.b = np.asarray(b, dtype=F32)
         self.stride_f = stride[0]
         self.pad_f = pad_f
         self.out_pad_f = out_pad_f
         self.transposed = transposed
         self.final_tanh = final_tanh
-        self.k_t = w64.shape[3]
-        self.c_in = w64.shape[0] if transposed else w64.shape[1]
-        # the kernel held once in float64: whole for a conv, per time tap for a deconv
-        self.w64 = None if transposed else w64
-        self._w_taps = deconv_tap_matrices(w64) if transposed else None
+        self.k_t = w.shape[3]
+        self.c_in = w.shape[0] if transposed else w.shape[1]
+        # the kernel held once in float32: whole for a conv, per time tap for a deconv
+        self.w = None if transposed else w
+        self._w_taps = deconv_tap_matrices(w) if transposed else None
         var = np.asarray(var, dtype=F64)
         if np.any(var < 0):
             raise WeightError("batch-norm running variance contains negative entries")
+        # scale and shift folded once in float64, then held in float32
         bn_scale = np.asarray(gamma, dtype=F64) / np.sqrt(var + BN_EPS)
         bn_shift = np.asarray(beta, dtype=F64) - np.asarray(mean, dtype=F64) * bn_scale
-        self.bn_scale = bn_scale[:, None]
-        self.bn_shift = bn_shift[:, None]
-        self.slopes = None if final_tanh else np.asarray(slopes, dtype=F64)[:, None]
+        self.bn_scale = bn_scale.astype(F32)[:, None]
+        self.bn_shift = bn_shift.astype(F32)[:, None]
+        self.slopes = None if final_tanh else np.asarray(slopes, dtype=F32)[:, None]
 
     def init_state(self) -> _ConvState:
         return _ConvState()
@@ -278,18 +279,17 @@ class _ConvBlock:
             raise ConfigurationError(f"input has {c} channels, block expects {self.c_in}")
 
     def _frames(self, frames: np.ndarray) -> np.ndarray:
-        """(n + k_t - 1, C_in, F) float64 history and frames -> (n, C_out, F') float32."""
+        """(n + k_t - 1, C_in, F) float32 history and frames -> (n, C_out, F') float32."""
         if self.transposed:
-            y = deconv_frame_taps(frames, self._w_taps, self.b64,
+            y = deconv_frame_taps(frames, self._w_taps, self.b,
                                   self.stride_f, self.pad_f, self.out_pad_f)
         else:
-            y = conv_frame_taps(frames, self.w64, self.b64, self.stride_f, self.pad_f)
-        y = y.astype(F32)
-        y = (y.astype(F64) * self.bn_scale + self.bn_shift).astype(F32)
-        y64 = y.astype(F64)
+            y = conv_frame_taps(frames, self.w, self.b, self.stride_f, self.pad_f)
+        y *= self.bn_scale
+        y += self.bn_shift
         if self.final_tanh:
-            return np.tanh(y64).astype(F32)
-        return np.where(y64 >= 0, y64, self.slopes * y64).astype(F32)
+            return np.tanh(y, out=y)
+        return np.where(y >= 0, y, self.slopes * y)
 
     def step(self, x: np.ndarray, state: _ConvState) -> np.ndarray:
         """(C_in, F, n) frames after the carried ones -> (C_out, F', n).
@@ -300,7 +300,7 @@ class _ConvBlock:
         c, f_dim, n = x.shape
         self._check_channels(c)
         hist = self.k_t - 1
-        frames = state.frames = with_history(state.frames, hist, n, (c, f_dim))
+        frames = state.frames = with_history(state.frames, hist, n, (c, f_dim), F32)
         frames[hist:] = x.transpose(2, 0, 1)
         return in_passes(self._frames, frames, hist).transpose(1, 2, 0)
 

@@ -1,14 +1,30 @@
 """Numeric building blocks: causal convolutions, GRUs, attention softmax, pooling.
 
-Feature maps are float32 ndarrays laid out (channels, frequency, time).
-Arithmetic runs in float64 internally and results are rounded to float32 at
-each operation boundary. The kernels take n frames along a leading time
-axis, each frame a contiguous block. A block's one ``step(x, state)`` calls
-them on its carried history plus n frames: a stream's frame is n = 1, a
-whole map n = T on a fresh state. Every per-frame product is its own item
-of a stacked ``np.matmul`` (never one wider GEMM, whose blocking can change
-the rounding) and every reduction runs over the same axis in the same order
-whatever n is, so any split of the frames into calls gives identical bits.
+Feature maps are float32 ndarrays laid out (channels, frequency, time), and
+the network computes in float32 from end to end: weights are held once in
+float32, and every product, batch norm, activation, gate and attention
+softmax runs in float32. Four parts stay float64:
+
+  * analysis and synthesis (``stdct``, ``ofif``, and the mask product that
+    applies the network's float32 mask to the noisy spectrum);
+  * ``causal_pool_time`` and the per-frame sums and maxes that feed it, and
+    the attention's per-frame (C, F) mean; each pooled statistic is rounded
+    to float32 once, where its query or key is projected;
+  * the attention's running frequency and channel score sums and their
+    bounds, which accumulate over the whole life of a stream: each frame's
+    outer product of float32 queries and keys is exact in float64;
+  * the metrics (``si_snr``, ``loss_fn``, ``target_mask``).
+
+Batch-norm scale and shift are folded from the float32 statistics once, in
+float64, and held in float32.
+
+The kernels take n frames along a leading time axis, each frame a
+contiguous block. A block's one ``step(x, state)`` calls them on its carried
+history plus n frames: a stream's frame is n = 1, a whole map n = T on a
+fresh state. Every per-frame product is its own item of a stacked
+``np.matmul`` (never one wider GEMM, whose blocking can change the rounding)
+and every reduction runs over the same axis in the same order whatever n
+is, so any split of the frames into calls gives identical bits.
 
 Causality conventions:
   * convolutions pad ``k_t - 1`` zero frames at the start of the time axis;
@@ -22,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 
@@ -38,15 +53,11 @@ FRAMES_PER_PASS = 32
 BN_EPS = 1e-5
 
 
-def _f64(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=F64)
-
-
 def with_history(buf: np.ndarray | None, hist: int, n: int,
-                 frame_shape: tuple[int, ...]) -> np.ndarray:
-    """A (hist + n, *frame_shape) float64 buffer that starts with the last
-    ``hist`` frames of ``buf`` (zeros if ``buf`` is None); the caller fills
-    the n frames after them.
+                 frame_shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A (hist + n, *frame_shape) buffer of ``dtype`` that starts with the
+    last ``hist`` frames of ``buf`` (zeros if ``buf`` is None); the caller
+    fills the n frames after them.
 
     ``buf`` itself is reused, shifted in place, when it already holds
     hist + n frames, so a stream stepping one frame at a time allocates
@@ -55,7 +66,7 @@ def with_history(buf: np.ndarray | None, hist: int, n: int,
     if buf is not None and len(buf) == hist + n:
         buf[:hist] = buf[n:]
         return buf
-    out = np.empty((hist + n,) + frame_shape, dtype=F64)
+    out = np.empty((hist + n,) + frame_shape, dtype=dtype)
     out[:hist] = 0.0 if buf is None else buf[len(buf) - hist:]
     return out
 
@@ -86,17 +97,17 @@ def deconv2d_out_freq(f_dim: int, k_f: int, s_f: int, pad_f: int, out_pad_f: int
     return (f_dim - 1) * s_f - 2 * pad_f + k_f + out_pad_f
 
 
-def conv_frame_taps(frames: np.ndarray, w64: np.ndarray, b64: np.ndarray,
+def conv_frame_taps(frames: np.ndarray, w: np.ndarray, b: np.ndarray,
                     s_f: int, pad_f: int) -> np.ndarray:
     """Causal conv output frames from their input frames.
 
-    ``frames`` is (n + k_t - 1, C_in, F) float64, oldest first; its first
+    ``frames`` is (n + k_t - 1, C_in, F) float32, oldest first; its first
     k_t - 1 frames are history, zeros standing in for frames before the start
-    of the stream. Returns (n, C_out, F') float64: output frame t mixes input
+    of the stream. Returns (n, C_out, F') float32: output frame t mixes input
     frames t .. t + k_t - 1.
     """
     t_in, c_in, f_dim = frames.shape
-    c_out, _, k_f, k_t = w64.shape
+    c_out, _, k_f, k_t = w.shape
     n = t_in - k_t + 1
     fp = f_dim + 2 * pad_f
     out_f = (fp - k_f) // s_f + 1
@@ -104,31 +115,34 @@ def conv_frame_taps(frames: np.ndarray, w64: np.ndarray, b64: np.ndarray,
         raise ConfigurationError(
             f"conv produces empty frequency axis: F={f_dim} k_f={k_f} pad_f={pad_f}")
     if pad_f:
-        xp = np.zeros((t_in, c_in, fp), dtype=F64)
+        xp = np.zeros((t_in, c_in, fp), dtype=F32)
         xp[:, :, pad_f:pad_f + f_dim] = frames
     else:
-        xp = frames
-    win = sliding_window_view(xp, (k_t, k_f), axis=(0, 2))[:, :, ::s_f]  # (n, C_in, F', k_t, k_f)
-    patches = win.transpose(0, 1, 4, 3, 2).reshape(n, c_in * k_f * k_t, out_f)
-    y = w64.reshape(c_out, -1) @ patches
-    y += b64[:, None]
+        xp = np.ascontiguousarray(frames)
+    # patch [t, c, kf, kt, f'] is input xp[t + kt, c, f' * s_f + kf], in the
+    # weights' (C_in, k_f, k_t) order: one strided view, then one copy
+    s_t, s_c, s_x = xp.strides
+    patches = np.ndarray((n, c_in, k_f, k_t, out_f), xp.dtype, xp, 0,
+                         (s_t, s_c, s_x, s_t, s_f * s_x)).reshape(n, c_in * k_f * k_t, out_f)
+    y = w.reshape(c_out, -1) @ patches
+    y += b[:, None]
     return y
 
 
-def deconv_tap_matrices(w64: np.ndarray) -> list[np.ndarray]:
+def deconv_tap_matrices(w: np.ndarray) -> list[np.ndarray]:
     """Per-time-tap weight matrices (C_out*k_f, C_in), precomputed once."""
-    c_in, c_out, k_f, k_t = w64.shape
+    c_in, c_out, k_f, k_t = w.shape
     return [np.ascontiguousarray(
-        w64[:, :, :, j].transpose(1, 2, 0).reshape(c_out * k_f, c_in))
+        w[:, :, :, j].transpose(1, 2, 0).reshape(c_out * k_f, c_in))
         for j in range(k_t)]
 
 
-def deconv_frame_taps(frames: np.ndarray, w_taps: list[np.ndarray], b64: np.ndarray,
+def deconv_frame_taps(frames: np.ndarray, w_taps: list[np.ndarray], b: np.ndarray,
                       s_f: int, pad_f: int, out_pad_f: int) -> np.ndarray:
     """Causal transposed-conv output frames from their input frames.
 
-    ``frames`` is (n + k_t - 1, C_in, F) float64 as for ``conv_frame_taps``;
-    returns (n, C_out, F') float64. Raw time index t of a stride-1 transposed
+    ``frames`` is (n + k_t - 1, C_in, F) float32 as for ``conv_frame_taps``;
+    returns (n, C_out, F') float32. Raw time index t of a stride-1 transposed
     convolution mixes input frames t-j against kernel tap j, so evaluating
     only at t (never t+1..t+k_t-1) is exactly the trailing-frame discard that
     keeps the layer causal.
@@ -136,7 +150,7 @@ def deconv_frame_taps(frames: np.ndarray, w_taps: list[np.ndarray], b64: np.ndar
     t_in, c_in, f_dim = frames.shape
     k_t = len(w_taps)
     n = t_in - k_t + 1
-    c_out = b64.shape[0]
+    c_out = b.shape[0]
     k_f = w_taps[0].shape[0] // c_out
     raw_len = (f_dim - 1) * s_f + k_f
     trim_hi = pad_f - out_pad_f
@@ -145,7 +159,7 @@ def deconv_frame_taps(frames: np.ndarray, w_taps: list[np.ndarray], b64: np.ndar
         raise ConfigurationError(
             f"deconv output frequency size {out_f} is not positive "
             f"(F={f_dim} k_f={k_f} stride={s_f} pad_f={pad_f})")
-    acc = np.zeros((n, c_out, raw_len), dtype=F64)
+    acc = np.zeros((n, c_out, raw_len), dtype=F32)
     for j in range(k_t):
         m = (w_taps[j] @ frames[k_t - 1 - j:k_t - 1 - j + n]).reshape(n, c_out, k_f, f_dim)
         for kf in range(k_f):
@@ -153,9 +167,9 @@ def deconv_frame_taps(frames: np.ndarray, w_taps: list[np.ndarray], b64: np.ndar
     if trim_hi >= 0:
         y = acc[:, :, pad_f:raw_len - trim_hi]
     else:
-        y = np.concatenate([acc[:, :, pad_f:], np.zeros((n, c_out, -trim_hi), dtype=F64)],
+        y = np.concatenate([acc[:, :, pad_f:], np.zeros((n, c_out, -trim_hi), dtype=F32)],
                            axis=2)
-    return y + b64[:, None]
+    return y + b[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +178,7 @@ def deconv_frame_taps(frames: np.ndarray, w_taps: list[np.ndarray], b64: np.ndar
 
 @dataclass
 class GruParams:
-    """GRU weights, float64. ``w_in`` (3h, d_in), ``w_rec`` (3h, h), ``bias`` (3h,).
+    """GRU weights, float32. ``w_in`` (3h, d_in), ``w_rec`` (3h, h), ``bias`` (3h,).
 
     Gate convention (rows ordered reset, update, candidate):
         r  = sigmoid(W_r x + U_r h + b_r)
@@ -177,9 +191,9 @@ class GruParams:
     bias: np.ndarray
 
     def __post_init__(self):
-        self.w_in = _f64(self.w_in)
-        self.w_rec = _f64(self.w_rec)
-        self.bias = _f64(self.bias)
+        self.w_in = np.asarray(self.w_in, dtype=F32)
+        self.w_rec = np.asarray(self.w_rec, dtype=F32)
+        self.bias = np.asarray(self.bias, dtype=F32)
         h = self.w_rec.shape[1]
         if self.w_in.shape[0] != 3 * h or self.w_rec.shape != (3 * h, h) \
                 or self.bias.shape != (3 * h,):
@@ -196,17 +210,24 @@ class GruParams:
         return self.w_in.shape[1]
 
 
-def _sigmoid(v):
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-v))
+def _sigmoid_into(v: np.ndarray) -> None:
+    """1 / (1 + exp(-v)) in place. exp overflows to inf for very negative v,
+    which gives the right limit 0, so callers enter
+    ``np.errstate(over="ignore")`` once around their whole loop."""
+    np.negative(v, out=v)
+    np.exp(v, out=v)
+    v += 1.0
+    np.divide(1.0, v, out=v)
 
 
 def gru_step_pre(gx: np.ndarray, h: np.ndarray, p: GruParams) -> np.ndarray:
-    """One GRU step with the input projection ``gx = x @ w_in.T`` precomputed."""
+    """One GRU step with the input projection ``gx = x @ w_in.T`` precomputed;
+    the caller ignores exp overflow (see ``_sigmoid_into``)."""
     hd = p.hidden
     gh = h @ p.w_rec.T
-    r = _sigmoid(gx[:, :hd] + gh[:, :hd] + p.bias[:hd])
-    z = _sigmoid(gx[:, hd:2 * hd] + gh[:, hd:2 * hd] + p.bias[hd:2 * hd])
+    rz = gx[:, :2 * hd] + gh[:, :2 * hd] + p.bias[:2 * hd]
+    _sigmoid_into(rz)
+    r, z = rz[:, :hd], rz[:, hd:]
     n = np.tanh(gx[:, 2 * hd:] + r * (gh[:, 2 * hd:] + p.bias[2 * hd:]))
     return (1.0 - z) * n + z * h
 
@@ -231,29 +252,44 @@ class BiGru:
         self._bias_rz2 = np.ascontiguousarray(bias2[..., :2 * h])
         self._bias_n2 = np.ascontiguousarray(bias2[..., 2 * h:])
 
-    def frame(self, seq64: np.ndarray) -> np.ndarray:
+    def frame(self, seq: np.ndarray) -> np.ndarray:
         """Run both directions along frequency in each of n frames.
 
-        ``seq64`` is (n, F, C) float64, one sequence per frame; returns
-        (n, F, 2h) float64. State starts at zero in both directions in every
+        ``seq`` is (n, F, C) float32, one sequence per frame; returns
+        (n, F, 2h) float32. State starts at zero in both directions in every
         frame, so the result for frame t never sees any other frame. The
         frames are a stacked batch of (1, h) rows, so each frame's recurrent
-        product is the same matrix-vector call whatever n is.
+        product is the same matrix-vector call whatever n is. The gates are
+        written into buffers allocated once per call.
         """
-        n, f_dim, _ = seq64.shape
+        n, f_dim, _ = seq.shape
         h = self.hidden
-        seq2 = np.stack([seq64, seq64[:, ::-1]])                    # (2, n, F, C)
+        seq2 = np.stack([seq, seq[:, ::-1]])                        # (2, n, F, C)
         gx2 = seq2 @ self._w_in2                                    # (2, n, F, 3h)
         gx_rz = gx2[..., :2 * h] + self._bias_rz2   # candidate bias stays inside the r product
         gx_n = gx2[..., 2 * h:]
-        hs = np.zeros((2, n, 1, h), dtype=F64)
-        states = np.empty((f_dim, 2, n, 1, h), dtype=F64)
-        for i in range(f_dim):
-            gh = hs @ self._w_rec2
-            rz = _sigmoid(gx_rz[:, :, i:i + 1] + gh[..., :2 * h])
-            n_gate = np.tanh(gx_n[:, :, i:i + 1] + rz[..., :h] * (gh[..., 2 * h:] + self._bias_n2))
-            hs = states[i] = n_gate + rz[..., h:] * (hs - n_gate)
-        out = np.empty((n, f_dim, 2 * h), dtype=F64)
+        states = np.empty((f_dim + 1, 2, n, 1, h), dtype=F32)    # zero state, then one per bin
+        states[0] = 0.0
+        gh = np.empty((2, n, 1, 3 * h), dtype=F32)
+        rz = np.empty((2, n, 1, 2 * h), dtype=F32)
+        n_gate = np.empty((2, n, 1, h), dtype=F32)
+        r, z, gh_rz, gh_n = rz[..., :h], rz[..., h:], gh[..., :2 * h], gh[..., 2 * h:]
+        with np.errstate(over="ignore"):
+            for i in range(f_dim):
+                hs, nxt = states[i], states[i + 1]
+                np.matmul(hs, self._w_rec2, out=gh)
+                np.add(gx_rz[:, :, i:i + 1], gh_rz, out=rz)
+                _sigmoid_into(rz)
+                # n = tanh(gx_n + r * (gh_n + b_n)); h' = n + z * (h - n)
+                np.add(gh_n, self._bias_n2, out=n_gate)
+                n_gate *= r
+                n_gate += gx_n[:, :, i:i + 1]
+                np.tanh(n_gate, out=n_gate)
+                np.subtract(hs, n_gate, out=nxt)
+                nxt *= z
+                nxt += n_gate
+        states = states[1:]
+        out = np.empty((n, f_dim, 2 * h), dtype=F32)
         out[:, :, :h] = states[:, 0, :, 0].transpose(1, 0, 2)
         out[:, :, h:] = states[::-1, 1, :, 0].transpose(1, 0, 2)
         return out
@@ -268,18 +304,18 @@ def masked_softmax(scores: np.ndarray) -> np.ndarray:
 
     Masked positions contribute exp(-inf) = 0, i.e. they are excluded from the
     normalization rather than zeroed afterwards, so each row is a proper
-    distribution over columns 0..row. Returns float64; the strict upper
-    triangle is exactly zero.
+    distribution over columns 0..row. Returns the scores' float dtype; the
+    strict upper triangle is exactly zero.
     """
-    s = _f64(np.asarray(scores))
+    s = np.asarray(scores)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ConfigurationError(f"masked_softmax needs a square matrix, got {s.shape}")
     return row_softmax(np.where(np.tri(s.shape[0], dtype=bool), s, -np.inf))
 
 
 def row_softmax(scores: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax along the last axis, float64."""
-    s = _f64(np.asarray(scores))
+    """Numerically stable softmax along the last axis, in the scores' float dtype."""
+    s = np.asarray(scores)
     m = s.max(axis=-1, keepdims=True)
     e = np.exp(s - m)
     return e / e.sum(axis=-1, keepdims=True)

@@ -64,7 +64,7 @@ class StreamState:
     def history_bytes(self) -> int:
         """Bytes of attention history rows in use: the time branches' keys and
         values, one row per frame and attention block for the life of the
-        stream (36,874 float64 values per frame at the default config)."""
+        stream (36,874 float32 values per frame at the default config)."""
         return sum(s.history_bytes for s in self._block_states.values()
                    if isinstance(s, TfcaState))
 

@@ -29,14 +29,22 @@ bits. Only the attention itself has two realizations:
     frame at a time, and the cumulative ``forward`` is one step of the whole
     map on a fresh state.
 
+Values, queries, keys, every softmax and every product are float32. Two
+things stay float64: the per-frame pooling sums and maxes (``project``),
+whose statistics are rounded to float32 once, and a stream's running
+frequency and channel score sums with their bounds, which accumulate for
+the life of the stream. Each frame adds its outer product of the float32
+query and key, computed exactly in float64; the scaled sum is rounded into
+the float32 buffer its ``exp`` runs in.
+
 The cumulative time branch attends over every past frame, so a ``TfcaState``
-keeps one key and one C*F-value float64 row per frame for the life of the
+keeps one key and one C*F-value float32 row per frame for the life of the
 stream. Each of the two histories lives in a private anonymous mapping of its
 own (``_GrowBuf``), created on the state's first step and doubled in place
 with ``mremap`` when full: no growth copies the history, only the rows written
 are resident, and a freed history goes straight back to the OS. Where the
 platform has no ``mremap``, growth takes a new mapping and one copy. Either
-way the time product reads one contiguous (t, C*F) float64 array.
+way the time product reads one contiguous (t, C*F) float32 array.
 """
 
 from __future__ import annotations
@@ -65,6 +73,9 @@ TFCA_PARAM_SHAPES = (
 )
 
 
+#: Below this scaled score bound exp needs no max subtraction: a row of 512
+#: entries sums to at most 512 * e**60, about 6e28, far below the float32
+#: maximum of 3.4e38.
 _SAFE_EXP_ARG = 60.0
 
 
@@ -72,6 +83,8 @@ def _exp_scores_into(scores: np.ndarray, denom: float, bound: float,
                      buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized softmax numerator exp(scores/denom) plus row sums.
 
+    ``scores`` is the float64 running sum; the scaled scores are rounded
+    into the float32 ``buf``, where the exp and the row sums run.
     ``bound`` is an upper bound on |scores|; when the scaled bound is small the
     max-subtraction pass is provably unnecessary and skipped. The decision
     depends only on the values, so it is identical however the stream was
@@ -85,25 +98,31 @@ def _exp_scores_into(scores: np.ndarray, denom: float, bound: float,
     return buf, buf.sum(axis=1)
 
 
+def _score_softmax(scores: np.ndarray, scale: float) -> np.ndarray:
+    """Row softmax of float64 score sums over ``scale``: the scaled scores
+    are rounded to float32, as a stream rounds them into its exp buffer."""
+    return row_softmax((scores / scale).astype(F32))
+
+
 class _GrowBuf:
-    """Append-only float64 rows in a private anonymous mapping of their own.
+    """Append-only float32 rows in a private anonymous mapping of their own.
 
     The mapping grows by doubling in place: ``mmap.resize`` is ``mremap``,
     which moves page tables and copies no bytes. Only the rows written are
     resident, and the mapping goes back to the OS when the buffer is freed.
-    ``view()`` is one contiguous (rows, cols) float64 array, as a numpy
+    ``view()`` is one contiguous (rows, cols) float32 array, as a numpy
     buffer would be.
     """
 
     def __init__(self, cols: int):
         self._cols = cols
-        self._row_bytes = cols * np.dtype(F64).itemsize
+        self._row_bytes = cols * np.dtype(F32).itemsize
         self._map = mmap.mmap(-1, 128 * self._row_bytes, flags=mmap.MAP_PRIVATE)
         self._data = self._rows()
         self._n = 0
 
     def _rows(self) -> np.ndarray:
-        return np.frombuffer(self._map, dtype=F64).reshape(-1, self._cols)
+        return np.frombuffer(self._map, dtype=F32).reshape(-1, self._cols)
 
     @staticmethod
     def _resize(buf: mmap.mmap, nbytes: int) -> None:
@@ -141,7 +160,11 @@ class _GrowBuf:
 
 
 class TfcaState:
-    """Per-stream attention state: pooling rows, running score sums, histories."""
+    """Per-stream attention state: pooling rows, running score sums, histories.
+
+    The running score sums ``score_f`` and ``score_c`` and their bounds are
+    float64; everything else a frame computes is float32.
+    """
 
     def __init__(self, channels: int):
         self.count = 0
@@ -158,24 +181,27 @@ class TfcaState:
         # the time branch's key and value histories, mapped on the first step
         self.key_hist: _GrowBuf | None = None
         self.value_hist: _GrowBuf | None = None
-        # scratch reused every frame to keep the hot loop allocation-free
-        self.scratch_f: np.ndarray | None = None
-        self.scratch_c = np.empty((channels, channels), dtype=F64)
-        self.cat64: np.ndarray | None = None
-        self.ft_buf: np.ndarray | None = None
+        # scratch reused every frame to keep the hot loop allocation-free: each
+        # frame's float64 outer product, the float32 exp of the scaled sums,
+        # and the three branch outputs the output conv reads
+        self.outer_f: np.ndarray | None = None
+        self.outer_c = np.empty((channels, channels), dtype=F64)
+        self.exp_f: np.ndarray | None = None
+        self.exp_c = np.empty((channels, channels), dtype=F32)
+        self.cat: np.ndarray | None = None
 
     def allocate(self, f_dim: int) -> None:
         """Size the frequency-dependent buffers from the first frames."""
         self.score_f = np.zeros((f_dim, f_dim), dtype=F64)
         self.key_hist = _GrowBuf(1)
         self.value_hist = _GrowBuf(self.channels * f_dim)
-        self.scratch_f = np.empty((f_dim, f_dim), dtype=F64)
-        self.cat64 = np.empty((3 * self.channels, f_dim), dtype=F64)
-        self.ft_buf = np.empty(self.channels * f_dim, dtype=F64)
+        self.outer_f = np.empty((f_dim, f_dim), dtype=F64)
+        self.exp_f = np.empty((f_dim, f_dim), dtype=F32)
+        self.cat = np.empty((3 * self.channels, f_dim), dtype=F32)
 
     @property
     def history_bytes(self) -> int:
-        """Bytes of time-branch key and value rows held, 8 * (1 + C * F) per frame."""
+        """Bytes of time-branch key and value rows held, 4 * (1 + C * F) per frame."""
         if self.value_hist is None:
             return 0
         return self.key_hist.nbytes + self.value_hist.nbytes
@@ -191,7 +217,7 @@ class TfcaBlock:
         self.pool_window = pool_window
         p = {}
         for name, shape_of in TFCA_PARAM_SHAPES:
-            arr = np.asarray(params[name], dtype=F64)
+            arr = np.asarray(params[name], dtype=F32)
             want = shape_of(channels)
             if arr.shape != want:
                 raise ConfigurationError(
@@ -225,10 +251,11 @@ class TfcaBlock:
         rows: the state's carried window - 1 rows, then these frames' sums and
         maxes over C and over F; the state keeps the last window - 1 of them.
         The first frames fix the frequency size for the life of the state.
-        Returns the three branches' values (n, 3C, F) float32, the time query
-        and key (n, 2), and the frequency and channel queries and keys
-        (n, 2, F) and (n, 2, C), float64. Each frame's products and
-        reductions are the same calls whatever n is.
+        Returns the three branches' values (n, 3C, F), the time query and
+        key (n, 2), and the frequency and channel queries and keys (n, 2, F)
+        and (n, 2, C), all float32. The per-frame sums and maxes are float64,
+        each pooled statistic rounded to float32 once. Each frame's products
+        and reductions are the same calls whatever n is.
         """
         c, f_dim, n = x.shape
         start = self.pool_window - 1
@@ -236,17 +263,18 @@ class TfcaBlock:
             raise ConfigurationError(
                 f"frame has {f_dim} frequency bins, the stream started with "
                 f"{state.pool_f.shape[2]}")
-        pool_f = state.pool_f = with_history(state.pool_f, start, n, (2, f_dim))
-        pool_c = state.pool_c = with_history(state.pool_c, start, n, (2, c))
-        x64 = np.ascontiguousarray(x.transpose(2, 0, 1), F64)      # (n, C, F)
-        v = self._v_w @ x64
+        pool_f = state.pool_f = with_history(state.pool_f, start, n, (2, f_dim), F64)
+        pool_c = state.pool_c = with_history(state.pool_c, start, n, (2, c), F64)
+        xt = np.ascontiguousarray(x.transpose(2, 0, 1))            # (n, C, F)
+        x64 = xt.astype(F64)
+        v = self._v_w @ xt
         v += self._v_b
         # time: scalar q/k per frame from the frame's mean and max over (C, F),
         # rounded to float32 like every pooled statistic (the ufuncs' own
         # reductions: the array methods cost a Python call more per frame)
-        flat = x64.reshape(n, c * f_dim)
-        avg = (np.add.reduce(flat, axis=1, keepdims=True) / (c * f_dim)).astype(F32)
-        mx = np.maximum.reduce(flat, axis=1, keepdims=True).astype(F32)
+        avg = (np.add.reduce(x64.reshape(n, c * f_dim), axis=1, keepdims=True)
+               / (c * f_dim)).astype(F32)
+        mx = np.maximum.reduce(xt.reshape(n, c * f_dim), axis=1, keepdims=True)
         tqk = avg * self._tqk_w[0] + mx * self._tqk_w[1] + self._tqk_b
         np.add.reduce(x64, axis=1, out=pool_f[start:, 0])
         np.maximum.reduce(x64, axis=1, out=pool_f[start:, 1])
@@ -254,13 +282,13 @@ class TfcaBlock:
         np.maximum.reduce(x64, axis=2, out=pool_c[start:, 1])
         fqk = self._axis_qk(pool_f, c, self._fqk_w, self._fqk_b)
         cqk = self._axis_qk(pool_c, f_dim, self._cqk_w, self._cqk_b)
-        return v.astype(F32), tqk, fqk, cqk
+        return v, tqk, fqk, cqk
 
     def _axis_qk(self, rows: np.ndarray, n_reduced: int, w: np.ndarray, b: np.ndarray):
         """(n, 2, width) q and k from trailing-window avg and max pooling."""
         pooled = causal_pool_time(rows, self.pool_window)
         pooled[:, 0] /= self.pool_window * n_reduced
-        return w @ pooled.astype(F32).astype(F64) + b
+        return w @ pooled.astype(F32) + b
 
     # -- the cumulative realization: the one n-frame step ------------------------
 
@@ -275,45 +303,44 @@ class TfcaBlock:
         if state.score_f is None:
             state.allocate(f_dim)
         v, tqk, fqk, cqk = self.project(x, state)
+        # each frame's bound on its outer product, |q|max * |k|max, in float64
+        bounds_f, bounds_c = ((m[:, 0].astype(F64) * m[:, 1]).tolist()
+                              for m in (np.abs(fqk).max(axis=2), np.abs(cqk).max(axis=2)))
+        # the three branch outputs are written straight into the rows of cat
+        cat = state.cat
+        ft, ff, fc = cat[:c].reshape(c * f_dim), cat[c:2 * c], cat[2 * c:]
         out = np.empty((n, c, f_dim), dtype=F32)
         for i in range(n):
-            vt, vf, vc = v[i, :c], v[i, c:2 * c], v[i, 2 * c:]
             denom = np.sqrt(state.count + 1.0)
             state.count += 1
 
             # time branch: masked row softmax over the history
             state.key_hist.append(tqk[i, 1:])
-            state.value_hist.append(vt.ravel())
+            state.value_hist.append(v[i, :c].ravel())
             att_row = row_softmax(tqk[i, 0] * state.key_hist.view()[:, 0])
-            np.matmul(att_row, state.value_hist.view(), out=state.ft_buf)
-            ft = state.ft_buf.reshape(c, f_dim).astype(F32)
+            np.matmul(att_row, state.value_hist.view(), out=ft)
 
-            # frequency branch: running score sum; the frame's outer product
-            # goes through the scratch buffer the exp then overwrites
+            # frequency branch: the running score sum gains the frame's exact
+            # outer product; the softmax row sums are applied per column
             qf, kf = fqk[i]
-            np.multiply(qf[:, None], kf[None, :], out=state.scratch_f)
-            state.score_f += state.scratch_f
-            state.bound_f += float(np.abs(qf).max() * np.abs(kf).max())
-            exp_f, z_f = _exp_scores_into(state.score_f, denom, state.bound_f, state.scratch_f)
-            ff = vf.astype(F64) @ exp_f.T
-            ff *= (1.0 / z_f)[None, :]          # softmax row sums applied per column
-            ff = ff.astype(F32)
+            np.multiply(qf[:, None], kf, out=state.outer_f, dtype=F64)
+            state.score_f += state.outer_f
+            state.bound_f += bounds_f[i]
+            exp_f, z_f = _exp_scores_into(state.score_f, denom, state.bound_f, state.exp_f)
+            np.matmul(v[i, c:2 * c], exp_f.T, out=ff)
+            ff *= 1.0 / z_f
 
             # channel branch: same recipe with the roles of C and F swapped
             qc, kc = cqk[i]
-            np.multiply(qc[:, None], kc[None, :], out=state.scratch_c)
-            state.score_c += state.scratch_c
-            state.bound_c += float(np.abs(qc).max() * np.abs(kc).max())
-            exp_c, z_c = _exp_scores_into(state.score_c, denom, state.bound_c, state.scratch_c)
-            fc = exp_c @ vc.astype(F64)
+            np.multiply(qc[:, None], kc, out=state.outer_c, dtype=F64)
+            state.score_c += state.outer_c
+            state.bound_c += bounds_c[i]
+            exp_c, z_c = _exp_scores_into(state.score_c, denom, state.bound_c, state.exp_c)
+            np.matmul(exp_c, v[i, 2 * c:], out=fc)
             fc *= (1.0 / z_c)[:, None]
-            fc = fc.astype(F32)
 
-            cat = state.cat64
-            cat[:c] = ft
-            cat[c:2 * c] = ff
-            cat[2 * c:] = fc
-            out[i] = self._out_w @ cat + self._out_b[:, None]
+            np.matmul(self._out_w, cat, out=out[i])
+            out[i] += self._out_b[:, None]
         return out.transpose(1, 2, 0)
 
     # -- whole-map forward --------------------------------------------------------
@@ -333,31 +360,32 @@ class TfcaBlock:
     def _offline(self, x: np.ndarray):
         """The projection of a whole (C, F, T) map and its offline attention.
 
-        Returns the values as (3C, F, T) float64 (holding float32 values),
-        then the time (T, T), frequency (F, F) and channel (C, C) attention
-        matrices, float64.
+        Returns the values as (3C, F, T), then the time (T, T), frequency
+        (F, F) and channel (C, C) attention matrices, all float32. The
+        frequency and channel scores are summed over the frames in float64,
+        as a stream's running sums are.
         """
         v, tqk, fqk, cqk = self.project(x, self.init_state())
+        fqk, cqk = fqk.astype(F64), cqk.astype(F64)
         scale = np.sqrt(x.shape[2])
-        return (np.ascontiguousarray(v.transpose(1, 2, 0), F64),
+        return (np.ascontiguousarray(v.transpose(1, 2, 0)),
                 masked_softmax(np.outer(tqk[:, 0], tqk[:, 1])),
-                row_softmax(fqk[:, 0].T @ fqk[:, 1] / scale),
-                row_softmax(cqk[:, 0].T @ cqk[:, 1] / scale))
+                _score_softmax(fqk[:, 0].T @ fqk[:, 1], scale),
+                _score_softmax(cqk[:, 0].T @ cqk[:, 1], scale))
 
     def _forward_offline(self, x: np.ndarray) -> np.ndarray:
         c = x.shape[0]
         cat, att_t, att_f, att_c = self._offline(x)
-        # each branch's output replaces its values, rounded to float32
-        cat[:c] = (cat[:c] @ att_t.T).astype(F32)
-        cat[c:2 * c] = (att_f @ cat[c:2 * c]).astype(F32)    # one (F, F) @ (F, T) per channel
-        cat[2 * c:] = np.tensordot(att_c, cat[2 * c:], axes=([1], [0])).astype(F32)
-        return (np.tensordot(self._out_w, cat, axes=([1], [0]))
-                + self._out_b[:, None, None]).astype(F32)
+        # each branch's output replaces its values
+        cat[:c] = cat[:c] @ att_t.T
+        cat[c:2 * c] = att_f @ cat[c:2 * c]    # one (F, F) @ (F, T) per channel
+        cat[2 * c:] = np.tensordot(att_c, cat[2 * c:], axes=([1], [0]))
+        return np.tensordot(self._out_w, cat, axes=([1], [0])) + self._out_b[:, None, None]
 
     # -- attention inspection -----------------------------------------------------
 
     def attentions(self, x: np.ndarray, mode: str = "offline") -> dict[str, np.ndarray]:
-        """Attention matrices for a (C, F, T) input, float64.
+        """Attention matrices for a (C, F, T) input, float32.
 
         The time matrix is identical in both modes (its mask is causal by
         construction). In ``cumulative`` mode the frequency/channel matrices
@@ -376,6 +404,6 @@ class TfcaBlock:
             state = self.init_state()
             self.step(x, state)
             scale = np.sqrt(x.shape[2])
-            att_f = row_softmax(state.score_f / scale)
-            att_c = row_softmax(state.score_c / scale)
+            att_f = _score_softmax(state.score_f, scale)
+            att_c = _score_softmax(state.score_c, scale)
         return {"time": att_t, "frequency": att_f, "channel": att_c}

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ofifnet.cli import main, read_wav, write_wav
+from ofifnet.errors import WavFormatError
 from ofifnet.model import ModelConfig
 from ofifnet.weights import read_weights, write_weights
 
@@ -80,6 +81,38 @@ class TestWav:
         path.write_bytes(blob)
         with pytest.raises(Exception):
             read_wav(path)
+
+
+def wav_blob(fmt_tag, bits, payload):
+    """A mono 16 kHz WAV file of one fmt chunk and one data chunk holding ``payload``."""
+    width = bits // 8
+    fmt = struct.pack("<HHIIHH", fmt_tag, 1, 16000, 16000 * width, width, bits)
+    size = len(payload)
+    return (b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + size + (size & 1)) + b"WAVE"
+            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", size) + payload + b"\0" * (size & 1))
+
+
+class TestPartialSample:
+    """A data chunk that is not a whole number of samples is a WAV format
+    error that names its byte count, for each accepted encoding."""
+
+    @pytest.mark.parametrize("fmt_tag, bits, size", [(1, 16, 2001), (3, 32, 4002)])
+    def test_read_wav_names_byte_count(self, tmp_path, fmt_tag, bits, size):
+        path = tmp_path / "partial.wav"
+        path.write_bytes(wav_blob(fmt_tag, bits, bytes(size)))
+        with pytest.raises(WavFormatError, match=f"{size} bytes"):
+            read_wav(path)
+
+    def test_enhance_exit_2_one_err_line(self, workdir, tmp_path, capsys):
+        path = tmp_path / "partial.wav"
+        path.write_bytes(wav_blob(1, 16, bytes(2001)))
+        rc = main(["enhance", "--in", str(path), "--out", str(tmp_path / "o.wav"),
+                   "--weights", workdir["weights"], "--config", workdir["config"]])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("ERR:wav:") and "2001 bytes" in err[0]
+        assert not (tmp_path / "o.wav").exists()
 
 
 class TestEnhance:

@@ -26,6 +26,7 @@ from ofifnet.model import (
 )
 from ofifnet.nn import FRAMES_PER_PASS, conv_frame_taps, deconv_frame_taps
 from ofifnet.ofif import NUM_CHANNELS
+from ofifnet.stream import StreamState, stream_push
 from ofifnet.tfca import TFCA_PARAM_SHAPES
 
 F32 = np.float32
@@ -294,31 +295,68 @@ class TestBlockForwardEqualsSteps:
         tail = blk.step(x[:, :, 3:], state)
         assert np.concatenate([head, tail], axis=2).tobytes() == blk.forward(x).tobytes()
 
-    # the kernels' float64 results, before rounding to float32 can hide a changed sum order
+    # per-frame byte identity of the float32 kernels alone, before the batch
+    # norm and activation; the test names are kept from the float64 kernels
     @pytest.mark.parametrize("name", CONV_BLOCKS)
     def test_conv_kernel_float64_per_frame(self, default_model, rng, name):
         blk, x = _block_and_input(default_model, name, rng)
         k_t, t_dim = blk.k_t, x.shape[2]
-        frames = np.concatenate([np.zeros((k_t - 1,) + x.shape[:2]),
-                                 x.transpose(2, 0, 1).astype(np.float64)])
+        frames = np.concatenate([np.zeros((k_t - 1,) + x.shape[:2], dtype=F32),
+                                 x.transpose(2, 0, 1)])
         if blk.transposed:
             def kernel(v):
-                return deconv_frame_taps(v, blk._w_taps, blk.b64, blk.stride_f,
+                return deconv_frame_taps(v, blk._w_taps, blk.b, blk.stride_f,
                                          blk.pad_f, blk.out_pad_f)
         else:
             def kernel(v):
-                return conv_frame_taps(v, blk.w64, blk.b64, blk.stride_f, blk.pad_f)
+                return conv_frame_taps(v, blk.w, blk.b, blk.stride_f, blk.pad_f)
         whole = kernel(frames)
+        assert whole.dtype == F32
         framewise = np.concatenate([kernel(frames[t:t + k_t]) for t in range(t_dim)])
         assert whole.tobytes() == framewise.tobytes()
 
     @pytest.mark.parametrize("j", range(3))
     def test_bigru_float64_per_frame(self, default_model, rng, j):
         blk, x = _block_and_input(default_model, f"tfsm.{j}", rng)
-        seq = np.ascontiguousarray(x.transpose(2, 1, 0), dtype=np.float64)   # (T, F, C)
+        seq = np.ascontiguousarray(x.transpose(2, 1, 0))                    # (T, F, C)
         whole = blk._bigru.frame(seq)
+        assert whole.dtype == F32
         framewise = np.concatenate([blk._bigru.frame(seq[t:t + 1]) for t in range(len(seq))])
         assert whole.tobytes() == framewise.tobytes()
+
+
+class TestFloat32Contract:
+    """The network computes in float32; the attention's running score sums
+    stay float64, each frame adding its exact outer product."""
+
+    def test_every_block_steps_in_float32(self, default_model, rng):
+        for name in ALL_BLOCKS:
+            blk, x = _block_and_input(default_model, name, rng, frames=4)
+            state = blk.init_state()
+            for part in (x[:, :, :1], x[:, :, 1:]):
+                assert blk.step(part, state).dtype == F32, name
+
+    def test_history_four_bytes_per_value(self, default_model, rng):
+        # 9 frames; per frame 10 time keys and the ten blocks' C * F values
+        wave = rng.uniform(-1, 1, 1536).astype(F32)
+        state = StreamState(default_model)
+        stream_push(state, default_model, wave)
+        assert state.frame_index == 9
+        assert state.history_bytes == 9 * 4 * 36_874
+
+    @pytest.mark.parametrize("name", ["fuse", "skip.4", "dectfca.3"])
+    def test_score_sums_exact_float64(self, default_model, rng, name):
+        blk, x = _block_and_input(default_model, name, rng, frames=12)
+        state = blk.init_state()
+        for t0, t1 in ((0, 1), (1, 5), (5, 12)):
+            blk.step(x[:, :, t0:t1], state)
+        _, _, fqk, cqk = blk.project(x, blk.init_state())
+        for got, qk in ((state.score_f, fqk), (state.score_c, cqk)):
+            want = np.zeros((qk.shape[2], qk.shape[2]))
+            for q, k in qk.astype(np.float64):
+                want += np.multiply.outer(q, k)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTargetMask:

@@ -145,7 +145,7 @@ class TestChunkingInvariance:
             # per frame: 10 time keys and the ten blocks' C * F values, 4 * 512
             # (fuse) + 8 * 4096 (four skips, four decoder blocks) + 128 * 16
             assert state.frame_index == 317
-            assert state.history_bytes == 317 * (10 + 36_864) * 8
+            assert state.history_bytes == 317 * (10 + 36_864) * 4
 
     @settings(max_examples=8, deadline=None)
     @given(length=st.integers(WINDOW_SIZE, 3000), seed=st.integers(0, 2 ** 32 - 1),

@@ -156,7 +156,7 @@ class TestHistoryBuffer:
     def test_rows_survive_three_growths(self, rng, monkeypatch, path):
         if path == "copy":
             monkeypatch.setattr(_GrowBuf, "_resize", staticmethod(self._no_mremap))
-        rows = rng.standard_normal((600, 37))
+        rows = rng.standard_normal((600, 37)).astype(F32)
         buf = _GrowBuf(37)
         maps = [buf._map]
         for i, row in enumerate(rows):
@@ -165,7 +165,7 @@ class TestHistoryBuffer:
             buf.append(row)
             if buf._map is not maps[-1]:
                 maps.append(buf._map)
-            assert buf.nbytes == (i + 1) * 37 * 8
+            assert buf.nbytes == (i + 1) * 37 * 4
             assert held is None or held.tobytes() == rows[:i].tobytes()
         del held
         # 128 -> 256 -> 512 -> 1024 rows: growths at rows 128, 256 and 512
