@@ -80,6 +80,9 @@ def read_wav(path) -> np.ndarray:
                 raise WavFormatError(f"{path}: fmt chunk truncated")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif cid == b"data":
+            if len(body) < size:
+                raise WavFormatError(f"{path}: data chunk declares {size} bytes but the file "
+                                     f"holds only {len(body)} of them")
             payload = body
         pos += 8 + size + (size & 1)
     if fmt is None or payload is None:

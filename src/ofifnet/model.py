@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import ofif, stdct
+from . import ofif, stdct, stream
 from .errors import ConfigurationError, SignalTooShortError, UndefinedMetricError, WeightError
 from .nn import (
     BN_EPS,
@@ -407,12 +407,8 @@ class Model:
         through a fresh stream) or ``offline``. A waveform holding NaN or
         infinity raises ``NonFiniteInputError``.
         """
-        # imported per call, not at module level, so that a stream_push
-        # replaced on the stream module (as the benchmark's tracing does) is
-        # the one the cumulative path runs
-        from .stream import StreamState, check_finite, stream_flush, stream_push
         wave = np.asarray(wave, dtype=F32).ravel()
-        check_finite(wave)
+        stream.check_finite(wave)
         n_samples = len(wave)
         if n_samples < stdct.WINDOW_SIZE:
             raise SignalTooShortError(
@@ -420,9 +416,11 @@ class Model:
         if mode not in MODES:
             raise ConfigurationError(f"unknown attention mode {mode!r}")
         if mode == "cumulative":
-            state = StreamState(self)
-            head = stream_push(state, self, wave)
-            tail = stream_flush(state, self)
+            # looked up on the module at call time, so that a stream_push
+            # replaced there (as the benchmark's tracing does) is the one run
+            state = stream.StreamState(self)
+            head = stream.stream_push(state, self, wave)
+            tail = stream.stream_flush(state, self)
             return np.concatenate([head, tail]), np.concatenate(state.mask_frames, axis=1)
         stacked = ofif.ofif_stack_frames(stdct.frame_signal_full(wave))
         mask = self.walk(stacked, _run_offline)

@@ -1,4 +1,4 @@
-"""Numeric building blocks: causal convolutions, GRUs, attention softmax, pooling.
+"""Numeric building blocks: causal convolutions, the GRU kernel, attention softmax, pooling.
 
 Feature maps are float32 ndarrays laid out (channels, frequency, time), and
 the network computes in float32 from end to end: weights are held once in
@@ -34,8 +34,6 @@ Causality conventions:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,123 +174,72 @@ def deconv_frame_taps(frames: np.ndarray, w_taps: list[np.ndarray], b: np.ndarra
 # gated recurrent units
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GruParams:
-    """GRU weights, float32. ``w_in`` (3h, d_in), ``w_rec`` (3h, h), ``bias`` (3h,).
+class Gru:
+    """D GRUs of one shape, stacked, stepped by one in-place kernel.
 
-    Gate convention (rows ordered reset, update, candidate):
+    ``params`` holds D (w_in, w_rec, bias) triples, each (3h, d), (3h, h) and
+    (3h,), held once in float32 and transposed for the products: ``w_in`` is
+    (D, 1, d, 3h), so ``x @ w_in`` projects a (D, ..., d) input per GRU. Gate
+    convention, rows ordered reset, update, candidate:
         r  = sigmoid(W_r x + U_r h + b_r)
         z  = sigmoid(W_z x + U_z h + b_z)
         n  = tanh(W_n x + r * (U_n h + b_n))
-        h' = (1 - z) * n + z * h
+        h' = n + z * (h - n)
     """
-    w_in: np.ndarray
-    w_rec: np.ndarray
-    bias: np.ndarray
 
-    def __post_init__(self):
-        self.w_in = np.asarray(self.w_in, dtype=F32)
-        self.w_rec = np.asarray(self.w_rec, dtype=F32)
-        self.bias = np.asarray(self.bias, dtype=F32)
-        h = self.w_rec.shape[1]
-        if self.w_in.shape[0] != 3 * h or self.w_rec.shape != (3 * h, h) \
-                or self.bias.shape != (3 * h,):
+    def __init__(self, *params):
+        w_in, w_rec, bias = ([np.asarray(a, dtype=F32) for a in arrays] for arrays in zip(*params))
+        h, d = w_rec[0].shape[1], w_in[0].shape[1]
+        if any(w.shape != (3 * h, d) for w in w_in) or any(u.shape != (3 * h, h) for u in w_rec) \
+                or any(b.shape != (3 * h,) for b in bias):
             raise ConfigurationError(
-                f"inconsistent GRU shapes: w_in {self.w_in.shape}, "
-                f"w_rec {self.w_rec.shape}, bias {self.bias.shape}")
+                f"inconsistent GRU shapes: w_in {[w.shape for w in w_in]}, "
+                f"w_rec {[u.shape for u in w_rec]}, bias {[b.shape for b in bias]}")
+        self.hidden, self.input_size = h, d
+        self.w_in = np.stack([w.T for w in w_in])[:, None]                # (D, 1, d, 3h)
+        self._w_rec = np.stack([u.T for u in w_rec])[:, None]             # (D, 1, h, 3h)
+        bias = np.stack(bias)[:, None, None]                              # (D, 1, 1, 3h)
+        self._bias_rz = np.ascontiguousarray(bias[..., :2 * h])
+        self._bias_n = np.ascontiguousarray(bias[..., 2 * h:])
 
-    @property
-    def hidden(self) -> int:
-        return self.w_rec.shape[1]
+    def scan(self, gx: np.ndarray, states: np.ndarray) -> None:
+        """Step all D GRUs along axis 0 of ``gx``, writing each state in place.
 
-    @property
-    def input_size(self) -> int:
-        return self.w_in.shape[1]
-
-
-def _sigmoid_into(v: np.ndarray) -> None:
-    """1 / (1 + exp(-v)) in place. exp overflows to inf for very negative v,
-    which gives the right limit 0, so callers enter
-    ``np.errstate(over="ignore")`` once around their whole loop."""
-    np.negative(v, out=v)
-    np.exp(v, out=v)
-    v += 1.0
-    np.divide(1.0, v, out=v)
-
-
-def gru_step_pre(gx: np.ndarray, h: np.ndarray, p: GruParams) -> np.ndarray:
-    """One GRU step with the input projection ``gx = x @ w_in.T`` precomputed;
-    the caller ignores exp overflow (see ``_sigmoid_into``)."""
-    hd = p.hidden
-    gh = h @ p.w_rec.T
-    rz = gx[:, :2 * hd] + gh[:, :2 * hd] + p.bias[:2 * hd]
-    _sigmoid_into(rz)
-    r, z = rz[:, :hd], rz[:, hd:]
-    n = np.tanh(gx[:, 2 * hd:] + r * (gh[:, 2 * hd:] + p.bias[2 * hd:]))
-    return (1.0 - z) * n + z * h
-
-
-class BiGru:
-    """Both directions of a bidirectional GRU, stepped together as a batch of 2.
-
-    Requires matching hidden and input sizes (the two directions are separate
-    weight sets, only their shapes must agree). Keeps only the stacked transposed
-    weights, built once, so the per-step work is a single batched matmul plus
-    gates.
-    """
-
-    def __init__(self, fwd: GruParams, bwd: GruParams):
-        if fwd.hidden != bwd.hidden or fwd.input_size != bwd.input_size:
-            raise ConfigurationError("both directions need identical hidden/input sizes")
-        self.hidden = fwd.hidden
-        h = fwd.hidden
-        self._w_in2 = np.stack([fwd.w_in.T, bwd.w_in.T])[:, None]          # (2, 1, d, 3h)
-        self._w_rec2 = np.stack([fwd.w_rec.T, bwd.w_rec.T])[:, None]       # (2, 1, h, 3h)
-        bias2 = np.stack([fwd.bias, bwd.bias])[:, None, None]             # (2, 1, 1, 3h)
-        self._bias_rz2 = np.ascontiguousarray(bias2[..., :2 * h])
-        self._bias_n2 = np.ascontiguousarray(bias2[..., 2 * h:])
-
-    def frame(self, seq: np.ndarray) -> np.ndarray:
-        """Run both directions along frequency in each of n frames.
-
-        ``seq`` is (n, F, C) float32, one sequence per frame; returns
-        (n, F, 2h) float32. State starts at zero in both directions in every
-        frame, so the result for frame t never sees any other frame. The
-        frames are a stacked batch of (1, h) rows, so each frame's recurrent
-        product is the same matrix-vector call whatever n is. The gates are
-        written into buffers allocated once per call.
+        ``gx`` is the (L, D, B, 1, 3h) float32 input projection, without bias;
+        the reset and update biases are added into it in place. ``states`` is
+        (L + 1, D, B, 1, h) float32 with the initial state in row 0, and step
+        i writes row i + 1. Each recurrent product is a stacked batch of
+        (1, h) rows, so every GRU and every batch row gets the same bits
+        whatever D, B and L are, and a scan split into runs that carry the
+        state gives the bits of one scan. The gates are written into buffers
+        allocated once per call.
         """
-        n, f_dim, _ = seq.shape
         h = self.hidden
-        seq2 = np.stack([seq, seq[:, ::-1]])                        # (2, n, F, C)
-        gx2 = seq2 @ self._w_in2                                    # (2, n, F, 3h)
-        gx_rz = gx2[..., :2 * h] + self._bias_rz2   # candidate bias stays inside the r product
-        gx_n = gx2[..., 2 * h:]
-        states = np.empty((f_dim + 1, 2, n, 1, h), dtype=F32)    # zero state, then one per bin
-        states[0] = 0.0
-        gh = np.empty((2, n, 1, 3 * h), dtype=F32)
-        rz = np.empty((2, n, 1, 2 * h), dtype=F32)
-        n_gate = np.empty((2, n, 1, h), dtype=F32)
+        gx_rz, gx_n = gx[..., :2 * h], gx[..., 2 * h:]
+        gx_rz += self._bias_rz                    # candidate bias stays inside the r product
+        batch = states.shape[1:-1]
+        gh = np.empty(batch + (3 * h,), dtype=F32)
+        rz = np.empty(batch + (2 * h,), dtype=F32)
+        n_gate = np.empty(batch + (h,), dtype=F32)
         r, z, gh_rz, gh_n = rz[..., :h], rz[..., h:], gh[..., :2 * h], gh[..., 2 * h:]
         with np.errstate(over="ignore"):
-            for i in range(f_dim):
+            for i in range(len(gx)):
                 hs, nxt = states[i], states[i + 1]
-                np.matmul(hs, self._w_rec2, out=gh)
-                np.add(gx_rz[:, :, i:i + 1], gh_rz, out=rz)
-                _sigmoid_into(rz)
-                # n = tanh(gx_n + r * (gh_n + b_n)); h' = n + z * (h - n)
-                np.add(gh_n, self._bias_n2, out=n_gate)
+                np.matmul(hs, self._w_rec, out=gh)
+                np.add(gx_rz[i], gh_rz, out=rz)
+                # sigmoid in place: exp overflows to inf for very negative
+                # input, which gives the right limit 0
+                np.negative(rz, out=rz)
+                np.exp(rz, out=rz)
+                rz += 1.0
+                np.divide(1.0, rz, out=rz)
+                np.add(gh_n, self._bias_n, out=n_gate)
                 n_gate *= r
-                n_gate += gx_n[:, :, i:i + 1]
+                n_gate += gx_n[i]
                 np.tanh(n_gate, out=n_gate)
                 np.subtract(hs, n_gate, out=nxt)
                 nxt *= z
                 nxt += n_gate
-        states = states[1:]
-        out = np.empty((n, f_dim, 2 * h), dtype=F32)
-        out[:, :, :h] = states[:, 0, :, 0].transpose(1, 0, 2)
-        out[:, :, h:] = states[::-1, 1, :, 0].transpose(1, 0, 2)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ class StreamState:
         # steady-state emission latency so far, in samples: each frame's hop
         # block comes out when the frame is processed, outside the flush
         self.max_latency = 0              # consumed input minus the block's first sample
-        self.structural_latency = 0       # same, with the input the frame requires
         self.first_emission_consumed: int | None = None
         self.mask_frames: list[np.ndarray] = []
         self._block_states = {blk: blk.init_state() for blk in model.blocks}
@@ -67,6 +66,13 @@ class StreamState:
         stream (36,874 float32 values per frame at the default config)."""
         return sum(s.history_bytes for s in self._block_states.values()
                    if isinstance(s, TfcaState))
+
+    @property
+    def structural_latency(self) -> int:
+        """The latency the frame bookkeeping fixes, in samples: frame t's hop
+        block starts at t * HOP and needs input up to t * HOP + WINDOW, so it
+        is one window once a frame has come out outside the flush, else 0."""
+        return WINDOW if self.first_emission_consumed is not None else 0
 
     # -- internals ----------------------------------------------------------------
 
@@ -86,9 +92,7 @@ class StreamState:
         s_hat = (mask.astype(F64) * spec4[0].astype(F64)).astype(F32)
         out = self._ola.add(s_hat)
         if not during_flush:
-            start, required_consumed = t * HOP, t * HOP + WINDOW
-            self.max_latency = max(self.max_latency, self.consumed - start)
-            self.structural_latency = max(self.structural_latency, required_consumed - start)
+            self.max_latency = max(self.max_latency, self.consumed - t * HOP)
             if self.first_emission_consumed is None:
                 self.first_emission_consumed = self.consumed
         self.emitted += HOP

@@ -83,14 +83,15 @@ class TestWav:
             read_wav(path)
 
 
-def wav_blob(fmt_tag, bits, payload):
-    """A mono 16 kHz WAV file of one fmt chunk and one data chunk holding ``payload``."""
+def wav_blob(fmt_tag, bits, payload, declared=None):
+    """A mono 16 kHz WAV file of one fmt chunk and one data chunk holding
+    ``payload``, whose header declares ``declared`` bytes (default: all of them)."""
     width = bits // 8
     fmt = struct.pack("<HHIIHH", fmt_tag, 1, 16000, 16000 * width, width, bits)
-    size = len(payload)
+    size = len(payload) if declared is None else declared
     return (b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + size + (size & 1)) + b"WAVE"
             + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"data" + struct.pack("<I", size) + payload + b"\0" * (size & 1))
+            + b"data" + struct.pack("<I", size) + payload + b"\0" * (len(payload) & 1))
 
 
 class TestPartialSample:
@@ -112,6 +113,29 @@ class TestPartialSample:
         err = capsys.readouterr().err.splitlines()
         assert rc == 2
         assert len(err) == 1 and err[0].startswith("ERR:wav:") and "2001 bytes" in err[0]
+        assert not (tmp_path / "o.wav").exists()
+
+
+class TestTruncatedChunk:
+    """A data chunk that declares more bytes than the file holds is a WAV
+    format error that names both counts, for each accepted encoding."""
+
+    @pytest.mark.parametrize("fmt_tag, bits", [(1, 16), (3, 32)])
+    def test_read_wav_names_both_counts(self, tmp_path, fmt_tag, bits):
+        path = tmp_path / "truncated.wav"
+        path.write_bytes(wav_blob(fmt_tag, bits, bytes(2000), declared=4000))
+        with pytest.raises(WavFormatError, match="declares 4000 bytes.* only 2000"):
+            read_wav(path)
+
+    def test_enhance_exit_2_one_err_line(self, workdir, tmp_path, capsys):
+        path = tmp_path / "truncated.wav"
+        path.write_bytes(wav_blob(3, 32, bytes(2000), declared=4000))
+        rc = main(["enhance", "--in", str(path), "--out", str(tmp_path / "o.wav"),
+                   "--weights", workdir["weights"], "--config", workdir["config"]])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("ERR:wav:")
+        assert "4000" in err[0] and "2000" in err[0]
         assert not (tmp_path / "o.wav").exists()
 
 

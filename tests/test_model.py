@@ -319,9 +319,9 @@ class TestBlockForwardEqualsSteps:
     def test_bigru_float64_per_frame(self, default_model, rng, j):
         blk, x = _block_and_input(default_model, f"tfsm.{j}", rng)
         seq = np.ascontiguousarray(x.transpose(2, 1, 0))                    # (T, F, C)
-        whole = blk._bigru.frame(seq)
+        whole = blk._freq_gru(seq)
         assert whole.dtype == F32
-        framewise = np.concatenate([blk._bigru.frame(seq[t:t + 1]) for t in range(len(seq))])
+        framewise = np.concatenate([blk._freq_gru(seq[t:t + 1]) for t in range(len(seq))])
         assert whole.tobytes() == framewise.tobytes()
 
 

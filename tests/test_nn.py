@@ -5,8 +5,9 @@ import pytest
 
 from ofifnet.errors import ConfigurationError, WeightError
 from ofifnet.model import _ConvBlock
-from ofifnet.nn import BN_EPS, BiGru, GruParams, causal_pool_time, gru_step_pre, masked_softmax
+from ofifnet.nn import BN_EPS, Gru, causal_pool_time, masked_softmax
 from ofifnet.tfca import TFCA_PARAM_SHAPES, TfcaBlock
+from ofifnet.tfsm import TfsmBlock
 
 F32 = np.float32
 
@@ -116,22 +117,81 @@ class TestDeconv2dCausal:
 
 
 class TestGru:
-    """The GRU cell as ``gru_step_pre`` runs it, and the time recurrence of the
-    live ``TfsmBlock``."""
+    """The one GRU kernel, ``Gru.scan``, and the time recurrence of the live
+    ``TfsmBlock``."""
 
     @staticmethod
     def random_params(rng, d_in, hidden, scale=0.5):
-        return GruParams(
-            rng.uniform(-scale, scale, (3 * hidden, d_in)),
-            rng.uniform(-scale, scale, (3 * hidden, hidden)),
-            rng.uniform(-scale, scale, 3 * hidden))
+        return (rng.uniform(-scale, scale, (3 * hidden, d_in)),
+                rng.uniform(-scale, scale, (3 * hidden, hidden)),
+                rng.uniform(-scale, scale, 3 * hidden))
 
     def test_zero_weights_zero_output(self, rng):
-        p = GruParams(np.zeros((6, 3)), np.zeros((6, 2)), np.zeros(6))
-        h = np.zeros((4, 2))
-        for _ in range(5):
-            h = gru_step_pre(rng.uniform(-1, 1, (4, 3)) @ p.w_in.T, h, p)
-            assert np.all(h == 0.0)
+        gru = Gru((np.zeros((6, 3)), np.zeros((6, 2)), np.zeros(6)))
+        x = rng.uniform(-1, 1, (5, 1, 4, 1, 3)).astype(F32)
+        states = np.zeros((6, 1, 4, 1, 2), dtype=F32)
+        gru.scan(x @ gru.w_in, states)
+        assert np.all(states == 0.0)
+
+    def test_matches_float64_reference(self, rng):
+        # the documented gate convention, evaluated in float64 one row at a time
+        w, u, b = self.random_params(rng, 3, 4)
+        gru = Gru((w, u, b))
+        x = rng.uniform(-1, 1, (6, 1, 5, 1, 3)).astype(F32)
+        states = np.zeros((7, 1, 5, 1, 4), dtype=F32)
+        gru.scan(x @ gru.w_in, states)
+        w, u, b = (np.asarray(a, dtype=F32).astype(np.float64) for a in (w, u, b))
+        hs = np.zeros((5, 4))
+        for t in range(6):
+            gx, gh = x[t, 0, :, 0] @ w.T, hs @ u.T
+            r = 1.0 / (1.0 + np.exp(-(gx[:, :4] + gh[:, :4] + b[:4])))
+            z = 1.0 / (1.0 + np.exp(-(gx[:, 4:8] + gh[:, 4:8] + b[4:8])))
+            n = np.tanh(gx[:, 8:] + r * (gh[:, 8:] + b[8:]))
+            hs = (1.0 - z) * n + z * hs
+            np.testing.assert_allclose(states[t + 1, 0, :, 0], hs, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("d, h, batch, length", [
+        (3, 2, 4, 5), (16, 8, 1, 7), (128, 32, 16, 8), (128, 64, 32, 16), (128, 128, 16, 16)])
+    def test_scan_bit_contract(self, rng, d, h, batch, length):
+        # three stacked GRUs; d = 128 with h = 32, 64, 128 are the bottleneck's
+        # shapes: 16 bins scanned with up to 32 frames as the batch, or the
+        # reverse
+        params = [self.random_params(rng, d, h) for _ in range(3)]
+        gru = Gru(*params)
+        x = rng.uniform(-1, 1, (length, 3, batch, 1, d)).astype(F32)
+        init = rng.uniform(-1, 1, (3, batch, 1, h)).astype(F32)
+        gx = x @ gru.w_in                  # scan adds biases into its gx: pass copies
+        states = np.empty((length + 1, 3, batch, 1, h), dtype=F32)
+        states[0] = init
+        gru.scan(gx.copy(), states)
+        # each stacked GRU gets exactly its bytes alone
+        for k, p in enumerate(params):
+            one = Gru(p)
+            alone = np.empty((length + 1, 1, batch, 1, h), dtype=F32)
+            alone[0] = init[k]
+            one.scan(x[:, k:k + 1] @ one.w_in, alone)
+            assert alone[:, 0].tobytes() == states[:, k].tobytes()
+        # L one-step scans carrying the state give the bytes of one scan
+        carried = init
+        for t in range(length):
+            pair = np.empty((2, 3, batch, 1, h), dtype=F32)
+            pair[0] = carried
+            gru.scan(gx[t:t + 1].copy(), pair)
+            carried = pair[1]
+            assert carried.tobytes() == states[t + 1].tobytes()
+        # a subset of the batch gets the same bytes
+        rows = np.arange(batch)[::-2]
+        part = np.empty((length + 1, 3, len(rows), 1, h), dtype=F32)
+        part[0] = init[:, rows]
+        gru.scan(gx[:, :, rows], part)
+        assert part.tobytes() == np.ascontiguousarray(states[:, :, rows]).tobytes()
+
+    def test_inconsistent_shapes_rejected(self, rng):
+        w, u, b = self.random_params(rng, 3, 2)
+        with pytest.raises(ConfigurationError):
+            Gru((w, u, b[:5]))
+        with pytest.raises(ConfigurationError):
+            Gru((w, u, b), self.random_params(rng, 4, 2))
 
     def test_single_step_equals_sequence_of_one(self, default_model, rng):
         # a one-frame step is the first frame of a longer sequence
@@ -151,16 +211,23 @@ class TestGru:
 
 
 def bigru_frames(x, fwd, bwd):
-    """(C, F, T) -> (2h, F, T) through the live bidirectional kernel."""
-    seq = np.asarray(x, dtype=np.float64).transpose(2, 1, 0)
-    return BiGru(fwd, bwd).frame(seq).transpose(2, 1, 0).astype(F32)
+    """(C, F, T) -> (2h, F, T) through the live bidirectional frequency stage
+    of a ``TfsmBlock`` holding the two directions' weights."""
+    w, u, _ = fwd
+    h, c = len(u[0]), len(w[0])
+    params = {f"{d}.{k}": v for d, p in (("ffwd", fwd), ("fbwd", bwd), ("time", fwd))
+              for k, v in zip("WUb", p)}
+    params.update({"fproj.w": np.zeros((c, 2 * h)), "fproj.b": np.zeros(c),
+                   "tproj.w": np.zeros((c, h)), "tproj.b": np.zeros(c)})
+    seq = np.asarray(x, dtype=F32).transpose(2, 1, 0)
+    return TfsmBlock(c, h, params)._freq_gru(seq).transpose(2, 1, 0)
 
 
 class TestBiGruOverFrequency:
 
     def test_zero_weights_zero_output(self, rng):
-        fwd = GruParams(np.zeros((6, 3)), np.zeros((6, 2)), np.zeros(6))
-        bwd = GruParams(np.zeros((6, 3)), np.zeros((6, 2)), np.zeros(6))
+        fwd = (np.zeros((6, 3)), np.zeros((6, 2)), np.zeros(6))
+        bwd = (np.zeros((6, 3)), np.zeros((6, 2)), np.zeros(6))
         x = fmap(rng, 3, 5, 4)
         out = bigru_frames(x, fwd, bwd)
         assert out.shape == (4, 5, 4)

@@ -199,6 +199,17 @@ class TestDelay:
         report = delay_from_emissions(state)
         assert report.structural_latency == WINDOW_SIZE
 
+    def test_structural_latency_zero_until_a_frame_comes_out(self, default_model, rng):
+        wave = rng.uniform(-1, 1, WINDOW_SIZE).astype(F32)
+        short = StreamState(default_model)
+        assert short.structural_latency == 0
+        stream_push(short, default_model, wave[:-1])
+        stream_flush(short, default_model)
+        assert short.structural_latency == 0         # a flushed frame does not count
+        full = StreamState(default_model)
+        stream_push(full, default_model, wave)
+        assert full.structural_latency == WINDOW_SIZE
+
 
 class TestVerifyCausality:
 
