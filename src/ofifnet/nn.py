@@ -185,6 +185,10 @@ class Gru:
         z  = sigmoid(W_z x + U_z h + b_z)
         n  = tanh(W_n x + r * (U_n h + b_n))
         h' = n + z * (h - n)
+    The reset and update columns of ``w_in`` and of the recurrent weights, and
+    their biases, are held negated. Their sum is then the negated
+    pre-activation exactly, since negation commutes with round-to-nearest, so
+    the sigmoid 1 / (1 + exp(-a)) takes its exp straight from it.
     """
 
     def __init__(self, *params):
@@ -199,20 +203,22 @@ class Gru:
         self.w_in = np.stack([w.T for w in w_in])[:, None]                # (D, 1, d, 3h)
         self._w_rec = np.stack([u.T for u in w_rec])[:, None]             # (D, 1, h, 3h)
         bias = np.stack(bias)[:, None, None]                              # (D, 1, 1, 3h)
-        self._bias_rz = np.ascontiguousarray(bias[..., :2 * h])
+        for w in (self.w_in, self._w_rec):
+            np.negative(w[..., :2 * h], out=w[..., :2 * h])
+        self._bias_rz = -bias[..., :2 * h]
         self._bias_n = np.ascontiguousarray(bias[..., 2 * h:])
 
     def scan(self, gx: np.ndarray, states: np.ndarray) -> None:
         """Step all D GRUs along axis 0 of ``gx``, writing each state in place.
 
-        ``gx`` is the (L, D, B, 1, 3h) float32 input projection, without bias;
-        the reset and update biases are added into it in place. ``states`` is
-        (L + 1, D, B, 1, h) float32 with the initial state in row 0, and step
-        i writes row i + 1. Each recurrent product is a stacked batch of
-        (1, h) rows, so every GRU and every batch row gets the same bits
-        whatever D, B and L are, and a scan split into runs that carry the
-        state gives the bits of one scan. The gates are written into buffers
-        allocated once per call.
+        ``gx`` is the (L, D, B, 1, 3h) float32 input projection ``x @ w_in``,
+        without bias; the reset and update biases are added into it in place.
+        ``states`` is (L + 1, D, B, 1, h) float32 with the initial state in
+        row 0, and step i writes row i + 1. Each recurrent product is a
+        stacked batch of (1, h) rows, so every GRU and every batch row gets
+        the same bits whatever D, B and L are, and a scan split into runs that
+        carry the state gives the bits of one scan. The gates are written into
+        buffers allocated once per call.
         """
         h = self.hidden
         gx_rz, gx_n = gx[..., :2 * h], gx[..., 2 * h:]
@@ -226,10 +232,9 @@ class Gru:
             for i in range(len(gx)):
                 hs, nxt = states[i], states[i + 1]
                 np.matmul(hs, self._w_rec, out=gh)
-                np.add(gx_rz[i], gh_rz, out=rz)
+                np.add(gx_rz[i], gh_rz, out=rz)            # the negated pre-activation
                 # sigmoid in place: exp overflows to inf for very negative
-                # input, which gives the right limit 0
-                np.negative(rz, out=rz)
+                # pre-activation, which gives the right limit 0
                 np.exp(rz, out=rz)
                 rz += 1.0
                 np.divide(1.0, rz, out=rz)

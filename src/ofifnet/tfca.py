@@ -34,8 +34,10 @@ things stay float64: the per-frame pooling sums and maxes (``project``),
 whose statistics are rounded to float32 once, and a stream's running
 frequency and channel score sums with their bounds, which accumulate for
 the life of the stream. Each frame adds its outer product of the float32
-query and key, computed exactly in float64; the scaled sum is rounded into
-the float32 buffer its ``exp`` runs in.
+query and key, computed exactly in float64, 64 rows at a time; the scaled
+sum is rounded into the float32 buffer its ``exp`` runs in. Those buffers
+are scratch of one ``step`` call: a state carries only what the next frame
+reads.
 
 The cumulative time branch attends over every past frame, so a ``TfcaState``
 keeps one key and one C*F-value float32 row per frame for the life of the
@@ -79,23 +81,45 @@ TFCA_PARAM_SHAPES = (
 _SAFE_EXP_ARG = 60.0
 
 
-def _exp_scores_into(scores: np.ndarray, denom: float, bound: float,
-                     buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized softmax numerator exp(scores/denom) plus row sums.
+#: Rows per pass of the score update: a pass's float64 outer product, the
+#: running sum's rows and the float32 exp rows stay in cache together.
+_ROWS_PER_PASS = 64
 
-    ``scores`` is the float64 running sum; the scaled scores are rounded
-    into the float32 ``buf``, where the exp and the row sums run.
-    ``bound`` is an upper bound on |scores|; when the scaled bound is small the
-    max-subtraction pass is provably unnecessary and skipped. The decision
+
+def _accumulate_exp_scores(score: np.ndarray, q: np.ndarray, k: np.ndarray,
+                           denom: float, bound: float, scratch: np.ndarray,
+                           exp: np.ndarray) -> np.ndarray:
+    """Add one frame's outer product of ``q`` and ``k`` to the running sum
+    ``score`` and write the unnormalized softmax numerator exp(score/denom)
+    into ``exp``; returns its float32 row sums.
+
+    ``score`` is the float64 running sum and ``q``, ``k`` the float64 casts
+    of the float32 query and key, so each product is exact. The work runs in
+    passes of ``_ROWS_PER_PASS`` rows, their products in the flat float64
+    ``scratch``: each pass adds its products to the sum's rows, rounds the
+    scaled rows into the float32 ``exp``, and takes the exp and the row sums
+    there. Every row gets the bits of one pass over the whole matrix.
+    ``bound`` is an upper bound on |score|; when the scaled bound is small
+    the max-subtraction is provably unnecessary and skipped. The decision
     depends only on the values, so it is identical however the stream was
-    chunked. Callers divide by the returned row sums where they apply the
-    attention, which costs one vector pass instead of a matrix pass.
+    chunked. Callers divide by the row sums where they apply the attention,
+    which costs one vector pass instead of a matrix pass.
     """
-    np.multiply(scores, 1.0 / denom, out=buf)
-    if not bound / denom <= _SAFE_EXP_ARG:
-        buf -= buf.max(axis=1, keepdims=True)
-    np.exp(buf, out=buf)
-    return buf, buf.sum(axis=1)
+    shift = not bound / denom <= _SAFE_EXP_ARG
+    z = np.empty(len(score), dtype=F32)
+    for r0 in range(0, len(score), _ROWS_PER_PASS):
+        rows = slice(r0, r0 + _ROWS_PER_PASS)
+        s = score[rows]
+        o = scratch[:s.size].reshape(s.shape)
+        np.multiply(q[rows, None], k, out=o)
+        s += o
+        e = exp[rows]
+        np.multiply(s, 1.0 / denom, out=e)
+        if shift:
+            e -= np.maximum.reduce(e, axis=1, keepdims=True)
+        np.exp(e, out=e)
+        np.add.reduce(e, axis=1, out=z[rows])
+    return z
 
 
 def _score_softmax(scores: np.ndarray, scale: float) -> np.ndarray:
@@ -162,8 +186,9 @@ class _GrowBuf:
 class TfcaState:
     """Per-stream attention state: pooling rows, running score sums, histories.
 
-    The running score sums ``score_f`` and ``score_c`` and their bounds are
-    float64; everything else a frame computes is float32.
+    It holds only what a later frame reads. The running score sums
+    ``score_f`` and ``score_c`` and their bounds are float64; the pooling
+    rows are float64 and the histories float32.
     """
 
     def __init__(self, channels: int):
@@ -181,23 +206,12 @@ class TfcaState:
         # the time branch's key and value histories, mapped on the first step
         self.key_hist: _GrowBuf | None = None
         self.value_hist: _GrowBuf | None = None
-        # scratch reused every frame to keep the hot loop allocation-free: each
-        # frame's float64 outer product, the float32 exp of the scaled sums,
-        # and the three branch outputs the output conv reads
-        self.outer_f: np.ndarray | None = None
-        self.outer_c = np.empty((channels, channels), dtype=F64)
-        self.exp_f: np.ndarray | None = None
-        self.exp_c = np.empty((channels, channels), dtype=F32)
-        self.cat: np.ndarray | None = None
 
     def allocate(self, f_dim: int) -> None:
-        """Size the frequency-dependent buffers from the first frames."""
+        """Size the frequency-dependent state from the first frames."""
         self.score_f = np.zeros((f_dim, f_dim), dtype=F64)
         self.key_hist = _GrowBuf(1)
         self.value_hist = _GrowBuf(self.channels * f_dim)
-        self.outer_f = np.empty((f_dim, f_dim), dtype=F64)
-        self.exp_f = np.empty((f_dim, f_dim), dtype=F32)
-        self.cat = np.empty((3 * self.channels, f_dim), dtype=F32)
 
     @property
     def history_bytes(self) -> int:
@@ -306,8 +320,14 @@ class TfcaBlock:
         # each frame's bound on its outer product, |q|max * |k|max, in float64
         bounds_f, bounds_c = ((m[:, 0].astype(F64) * m[:, 1]).tolist()
                               for m in (np.abs(fqk).max(axis=2), np.abs(cqk).max(axis=2)))
-        # the three branch outputs are written straight into the rows of cat
-        cat = state.cat
+        fqk, cqk = fqk.astype(F64), cqk.astype(F64)
+        # scratch for all n frames: the float64 outer-product rows of a pass,
+        # the float32 exp of each branch's scaled sums, and the three branch
+        # outputs, written straight into the rows of cat for the output conv
+        scratch = np.empty(_ROWS_PER_PASS * max(f_dim, c), dtype=F64)
+        exp_f = np.empty((f_dim, f_dim), dtype=F32)
+        exp_c = np.empty((c, c), dtype=F32)
+        cat = np.empty((3 * c, f_dim), dtype=F32)
         ft, ff, fc = cat[:c].reshape(c * f_dim), cat[c:2 * c], cat[2 * c:]
         out = np.empty((n, c, f_dim), dtype=F32)
         for i in range(n):
@@ -323,19 +343,17 @@ class TfcaBlock:
             # frequency branch: the running score sum gains the frame's exact
             # outer product; the softmax row sums are applied per column
             qf, kf = fqk[i]
-            np.multiply(qf[:, None], kf, out=state.outer_f, dtype=F64)
-            state.score_f += state.outer_f
             state.bound_f += bounds_f[i]
-            exp_f, z_f = _exp_scores_into(state.score_f, denom, state.bound_f, state.exp_f)
+            z_f = _accumulate_exp_scores(state.score_f, qf, kf, denom, state.bound_f,
+                                         scratch, exp_f)
             np.matmul(v[i, c:2 * c], exp_f.T, out=ff)
             ff *= 1.0 / z_f
 
             # channel branch: same recipe with the roles of C and F swapped
             qc, kc = cqk[i]
-            np.multiply(qc[:, None], kc, out=state.outer_c, dtype=F64)
-            state.score_c += state.outer_c
             state.bound_c += bounds_c[i]
-            exp_c, z_c = _exp_scores_into(state.score_c, denom, state.bound_c, state.exp_c)
+            z_c = _accumulate_exp_scores(state.score_c, qc, kc, denom, state.bound_c,
+                                         scratch, exp_c)
             np.matmul(exp_c, v[i, 2 * c:], out=fc)
             fc *= (1.0 / z_c)[:, None]
 

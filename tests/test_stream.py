@@ -1,5 +1,8 @@
 """Streaming contracts: emission accounting, chunking invariance, causality."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +102,32 @@ class TestPushFlush:
         stream_push(state, default_model, rng.uniform(-1, 1, 199 * HOP_SIZE).astype(F32))
         assert state.frame_index == 200
         assert (state._ola._acc.nbytes, state._ola._den.nbytes) == held
+
+    def test_heap_held_outside_histories(self, default_model, rng):
+        # what a stream holds besides its attention histories, which live in
+        # mappings tracemalloc does not see: at the default config 4.8 MiB
+        # after 8 frames, most of it the attention blocks' running score sums
+        # (the fuse block's 512 x 512 float64 sum is 2 MiB)
+        wave = rng.uniform(-1, 1, WINDOW_SIZE + 7 * HOP_SIZE).astype(F32)
+
+        def stream_8_frames():
+            state = StreamState(default_model)
+            for i in range(0, len(wave), HOP_SIZE):
+                stream_push(state, default_model, wave[i:i + HOP_SIZE])
+            return state
+
+        stream_8_frames()                  # whatever a first stream leaves cached
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            state = stream_8_frames()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert state.frame_index == 8 and state.history_bytes == 8 * 36874 * 4
+        assert held <= 6 * 2 ** 20
 
     def test_another_model_rejected_before_state_changes(self, default_model, rng):
         # same weights, but not the model the stream was opened on

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from ofifnet.errors import ConfigurationError
-from ofifnet.tfca import TFCA_PARAM_SHAPES, TfcaBlock, _GrowBuf
+from ofifnet.tfca import (
+    _SAFE_EXP_ARG,
+    TFCA_PARAM_SHAPES,
+    TfcaBlock,
+    _accumulate_exp_scores,
+    _GrowBuf,
+)
 
 F32 = np.float32
+F64 = np.float64
 
 
 def make_block(rng, channels, window=15, zero_bias=False, zero_qk=False, scale=0.4):
@@ -143,6 +150,87 @@ class TestTfcaForward:
         state = block.init_state()
         stepped = np.concatenate([block.step(x[:, :, t:t + 1], state) for t in range(8)], axis=2)
         assert np.array_equal(batch, stepped)
+
+
+class TestScoreUpdate:
+    """The running frequency and channel score update, in row passes, and the
+    state a stream carries from frame to frame."""
+
+    @staticmethod
+    def one_pass(score, q, k, denom, bound):
+        """The update as one pass over the whole matrix: the reference the row
+        passes must reproduce byte for byte."""
+        score += np.multiply.outer(q, k)
+        exp = np.empty(score.shape, dtype=F32)
+        np.multiply(score, 1.0 / denom, out=exp)
+        if not bound / denom <= _SAFE_EXP_ARG:
+            exp -= exp.max(axis=1, keepdims=True)
+        np.exp(exp, out=exp)
+        return exp, exp.sum(axis=1)
+
+    # 512, 256, 100 and 16 frequency bins; 128 is the bottleneck's channel branch
+    @pytest.mark.parametrize("width", [512, 256, 128, 100, 16])
+    @pytest.mark.parametrize("shift", [False, True], ids=["plain exp", "max subtracted"])
+    def test_row_passes_equal_one_pass(self, rng, width, shift):
+        scale = 4.0 if shift else 1.0
+        score, ref = np.zeros((width, width)), np.zeros((width, width))
+        scratch = np.empty(64 * width)
+        exp = np.empty((width, width), dtype=F32)
+        bound = 0.0
+        for t in range(3):
+            q, k = (rng.standard_normal((2, width)) * scale).astype(F32).astype(F64)
+            bound += np.abs(q).max() * np.abs(k).max()
+            denom = np.sqrt(t + 1.0)
+            assert (bound / denom > _SAFE_EXP_ARG) == shift
+            z = _accumulate_exp_scores(score, q, k, denom, bound, scratch, exp)
+            ref_exp, ref_z = self.one_pass(ref, q, k, denom, bound)
+            assert score.tobytes() == ref.tobytes()
+            assert exp.tobytes() == ref_exp.tobytes()
+            assert z.dtype == F32 and z.tobytes() == ref_z.tobytes()
+
+    def test_max_subtraction_pass(self, rng):
+        # query and key weights scaled until every frame's scaled bound is
+        # past the point where exp could overflow without the max subtracted
+        params = {name: rng.uniform(-0.4, 0.4, shape_of(4)).astype(F32)
+                  for name, shape_of in TFCA_PARAM_SHAPES}
+        for name in ("fq.w", "fk.w", "cq.w", "ck.w"):
+            params[name] *= 100.0
+        block = TfcaBlock(4, 15, params)
+        x = rng.uniform(-1, 1, (4, 24, 10)).astype(F32)
+        whole = block.step(x, block.init_state())
+        state = block.init_state()
+        frames = []
+        for t in range(10):
+            frames.append(block.step(x[:, :, t:t + 1], state))
+            denom = np.sqrt(state.count)
+            assert state.bound_f / denom > _SAFE_EXP_ARG
+            assert state.bound_c / denom > _SAFE_EXP_ARG
+        assert np.concatenate(frames, axis=2).tobytes() == whole.tobytes()
+        assert np.all(np.isfinite(whole))
+        # the softmax rows of the last frame, against float64 on the same
+        # float32-rounded scaled scores; q = k = 0 adds nothing to the sums
+        denom = np.sqrt(state.count)
+        for score, bound in ((state.score_f, state.bound_f), (state.score_c, state.bound_c)):
+            width = len(score)
+            exp = np.empty((width, width), dtype=F32)
+            z = _accumulate_exp_scores(score, np.zeros(width), np.zeros(width), denom, bound,
+                                       np.empty(64 * width), exp)
+            assert np.all(np.isfinite(exp)) and np.all(np.isfinite(z))
+            scaled = (score * (1.0 / denom)).astype(F32).astype(F64)
+            ref = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+            ref /= ref.sum(axis=1, keepdims=True)
+            # float32 underflows where float64 does not: below its smallest
+            # normal number only the absolute difference is meaningful
+            np.testing.assert_allclose(exp / z[:, None], ref, rtol=1e-5,
+                                       atol=np.finfo(F32).tiny)
+
+    def test_state_holds_no_frame_scratch(self, default_model, rng):
+        block, (c, f_dim) = deployed_attention_block(default_model, "fuse")
+        state = block.init_state()
+        block.step(rng.uniform(-1, 1, (c, f_dim, 3)).astype(F32), state)
+        assert set(vars(state)) == {"count", "channels", "pool_f", "pool_c", "score_f",
+                                    "score_c", "bound_f", "bound_c", "key_hist",
+                                    "value_hist"}
 
 
 class TestHistoryBuffer:
