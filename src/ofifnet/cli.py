@@ -171,7 +171,10 @@ def cmd_enhance(args) -> int:
 def cmd_stream(args) -> int:
     if not (math.isfinite(args.chunk_ms) and args.chunk_ms > 0):
         raise UsageError("--chunk-ms must be a positive, finite number of milliseconds")
-    chunk = int(round(args.chunk_ms * stdct.SAMPLE_RATE / 1000.0))
+    samples = args.chunk_ms * stdct.SAMPLE_RATE / 1000.0
+    if not math.isfinite(samples):
+        raise UsageError(f"--chunk-ms {args.chunk_ms} is too large")
+    chunk = int(round(samples))
     if chunk < 1:
         raise UsageError(f"--chunk-ms {args.chunk_ms} is below one sample")
     model = _load_model(args.weights, args.config)

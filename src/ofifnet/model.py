@@ -7,11 +7,11 @@ attention block before concatenating onto the decoder stream, and another
 attention block follows each decoder block except the last, whose activation
 is Tanh so the predicted mask lies in [-1, 1]. The mask multiplies the noisy
 spectrum and overlap-add synthesis returns a waveform of the input length.
-``Model.walk`` is the one place this wiring lives: a stream walks it with
-(C, F, 1) maps through each block's ``step`` and its carried state, the
-offline forward once with whole (C, F, T) maps through each block's
-``forward``, which is ``step`` on a fresh state (attention excepted, whose
-offline realization is its own method).
+``Model.walk`` is the one place this wiring lives: a stream walks it once
+per group of up to 32 frames, with (C, F, g) maps stepped through each
+block and its carried state, the offline forward once with whole (C, F, T)
+maps through each block's ``forward``, which is ``step`` on a fresh state
+(attention excepted, whose offline realization is its own method).
 
 ``Model.forward`` takes the attention mode per call.
 
@@ -378,8 +378,9 @@ class Model:
         """Run the fused input through the network; returns the mask.
 
         ``run_block(block, x)`` runs one block on its (C, F, n) input: a
-        stream steps each block over its one new frame with its carried
-        state, the offline forward runs each over the whole map.
+        stream steps each block over a group of up to 32 new frames with its
+        carried state, before the next block runs, and the offline forward
+        runs each over the whole map.
         Attention recalibrates the input, then come the encoder and the
         recurrent blocks; each decoder block takes the decoder stream
         concatenated with its attention-recalibrated encoder skip, and every
@@ -420,8 +421,10 @@ class Model:
             # replaced there (as the benchmark's tracing does) is the one run
             state = stream.StreamState(self)
             head = stream.stream_push(state, self, wave)
+            head_mask = state.last_mask
             tail = stream.stream_flush(state, self)
-            return np.concatenate([head, tail]), np.concatenate(state.mask_frames, axis=1)
+            return (np.concatenate([head, tail]),
+                    np.concatenate([head_mask, state.last_mask], axis=1))
         stacked = ofif.ofif_stack_frames(stdct.frame_signal_full(wave))
         mask = self.walk(stacked, _run_offline)
         s_hat = (mask.astype(F64) * stacked[0].astype(F64)).astype(F32)

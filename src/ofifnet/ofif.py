@@ -9,8 +9,8 @@ immediately before the transform, so the taper lands where the pseudo frame
 claims to start.
 
 ``ofif_stack_frames`` is the only analysis: it takes raw frames along a
-trailing time axis, and a stream calls it on one frame (n = 1) where the
-whole-utterance forward calls it on all of them.
+trailing time axis: a stream calls it on each group of up to 32 frames a
+push completes, the offline forward once on all of them.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def ofif_stack_frames(raw_frames: np.ndarray) -> np.ndarray:
 
     All 4n windowed members go through one transform product. Each column
     of it is the same dot products whatever n is, and the tests hold a
-    stream's n = 1 calls byte-identical to a whole utterance's n = T call.
+    stream's calls byte-identical however its frames were grouped.
     Channel 0 equals the plain spectrogram bit for bit.
     """
     raw_frames = np.asarray(raw_frames, dtype=F32)

@@ -13,8 +13,9 @@ exactly one window (512 samples, 32 ms).
 
 ``OverlapAdd`` is the only synthesis: it holds one window of pending sums, so
 its memory does not grow with the signal, and each ``add`` of n frames
-returns the n hops those frames made final. A stream adds one frame at a
-time; ``istdct_ola`` adds a whole spectrogram at once. Every sample sums its
+returns the n hops those frames made final. A stream adds each group of up
+to 32 frames a push completes; ``istdct_ola`` adds a whole spectrogram at
+once. Every sample sums its
 frames' contributions in frame order either way, so both give the same bits.
 """
 

@@ -94,7 +94,10 @@ def _accumulate_exp_scores(score: np.ndarray, q: np.ndarray, k: np.ndarray,
     into ``exp``; returns its float32 row sums.
 
     ``score`` is the float64 running sum and ``q``, ``k`` the float64 casts
-    of the float32 query and key, so each product is exact. The work runs in
+    of the float32 query and key, so each product is exact. ``einsum`` writes
+    the products faster than a broadcast ``multiply``; it gives +0 where
+    the product is -0, which cannot reach the sum: the sum starts at +0, no
+    add makes it -0, and x + (+-0) = x for every other x. The work runs in
     passes of ``_ROWS_PER_PASS`` rows, their products in the flat float64
     ``scratch``: each pass adds its products to the sum's rows, rounds the
     scaled rows into the float32 ``exp``, and takes the exp and the row sums
@@ -111,7 +114,7 @@ def _accumulate_exp_scores(score: np.ndarray, q: np.ndarray, k: np.ndarray,
         rows = slice(r0, r0 + _ROWS_PER_PASS)
         s = score[rows]
         o = scratch[:s.size].reshape(s.shape)
-        np.multiply(q[rows, None], k, out=o)
+        np.einsum('i,j->ij', q[rows], k, out=o)
         s += o
         e = exp[rows]
         np.multiply(s, 1.0 / denom, out=e)

@@ -224,7 +224,8 @@ class TestStream:
         assert rc == 2
         assert capsys.readouterr().err.startswith("ERR:usage:")
 
-    @pytest.mark.parametrize("chunk_ms", ["nan", "inf"])
+    # 1e308 ms is finite, but its 16 samples per ms are not
+    @pytest.mark.parametrize("chunk_ms", ["nan", "inf", "1e308"])
     def test_non_finite_chunk_usage_error(self, workdir, tmp_path, capsys, chunk_ms):
         rc = main(["stream", "--in", workdir["in"], "--out", str(tmp_path / "o.wav"),
                    "--weights", workdir["weights"], "--config", workdir["config"],

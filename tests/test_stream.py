@@ -107,27 +107,30 @@ class TestPushFlush:
         # what a stream holds besides its attention histories, which live in
         # mappings tracemalloc does not see: at the default config 4.8 MiB
         # after 8 frames, most of it the attention blocks' running score sums
-        # (the fuse block's 512 x 512 float64 sum is 2 MiB)
-        wave = rng.uniform(-1, 1, WINDOW_SIZE + 7 * HOP_SIZE).astype(F32)
+        # (the fuse block's 512 x 512 float64 sum is 2 MiB); none of it grows
+        # with the stream's age
+        wave = rng.uniform(-1, 1, WINDOW_SIZE + 572 * HOP_SIZE).astype(F32)
 
-        def stream_8_frames():
-            state = StreamState(default_model)
-            for i in range(0, len(wave), HOP_SIZE):
-                stream_push(state, default_model, wave[i:i + HOP_SIZE])
-            return state
+        def push_until(state, frames):
+            while state.frame_index < frames:
+                stream_push(state, default_model, wave[state.consumed:state.consumed + HOP_SIZE])
 
-        stream_8_frames()                  # whatever a first stream leaves cached
+        push_until(StreamState(default_model), 8)    # whatever a first stream leaves cached
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            state = stream_8_frames()
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0] - before
+            state = StreamState(default_model)
+            held = {}
+            for frames in (8, 20, 573):
+                push_until(state, frames)
+                gc.collect()
+                held[frames] = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert state.frame_index == 8 and state.history_bytes == 8 * 36874 * 4
-        assert held <= 6 * 2 ** 20
+        assert state.frame_index == 573 and state.history_bytes == 573 * 36874 * 4
+        assert held[8] <= 6 * 2 ** 20
+        assert held[573] - held[20] <= 2 ** 18
 
     def test_another_model_rejected_before_state_changes(self, default_model, rng):
         # same weights, but not the model the stream was opened on
@@ -207,6 +210,74 @@ class TestChunkingInvariance:
         seen.append(stream_flush(state, default_model))
         full, _ = run_chunked(default_model, wave, len(wave))
         assert np.concatenate(seen).tobytes() == full.tobytes()
+
+
+class TestGroupedPushes:
+    """A push walks the frames it completes in groups of at most 32, each
+    block stepped over a group's frames before the next block runs."""
+
+    def test_grouped_pushes_equal_hop_pushes(self, default_model, rng):
+        # single pushes completing one frame, one short of a group, one
+        # group, one past it, and two groups and a frame
+        wave = rng.uniform(-1, 1, WINDOW_SIZE + 64 * HOP_SIZE + 77).astype(F32)
+        state = StreamState(default_model)
+        outs, masks = [], []
+        for i in range(0, len(wave), HOP_SIZE):
+            outs.append(stream_push(state, default_model, wave[i:i + HOP_SIZE]))
+            masks.append(state.last_mask)
+        outs.append(stream_flush(state, default_model))
+        masks.append(state.last_mask)
+        hop_out, hop_mask = np.concatenate(outs), np.concatenate(masks, axis=1)
+        assert hop_mask.shape == (512, 66)
+        for k in (1, 31, 32, 33, 65):
+            state = StreamState(default_model)
+            out = stream_push(state, default_model, wave[:WINDOW_SIZE + (k - 1) * HOP_SIZE])
+            assert state.frame_index == k
+            assert out.tobytes() == hop_out[:k * HOP_SIZE].tobytes(), f"k={k}"
+            assert state.last_mask.tobytes() == hop_mask[:, :k].tobytes(), f"k={k}"
+        enhanced, mask = default_model.forward(wave)
+        assert enhanced.tobytes() == hop_out.tobytes()
+        assert mask.tobytes() == hop_mask.tobytes()
+
+    def test_each_block_steps_every_frame_once_in_order(self, default_model, rng):
+        # a one-push forward of 70 frames and a stream of 8 ms pushes make
+        # the same step calls: one frame each, on the same inputs, in order
+        wave = rng.uniform(-1, 1, WINDOW_SIZE + 69 * HOP_SIZE).astype(F32)
+
+        def recorded_steps(run):
+            model = Model(default_model.config, default_model.tensors)
+            calls = {}
+            for blk in model.blocks:
+                def step(x, state, blk=blk, step=blk.step):
+                    calls.setdefault(blk, []).append((x.shape[2], x.tobytes()))
+                    return step(x, state)
+                blk.step = step
+            run(model)
+            return [calls[blk] for blk in model.blocks]
+
+        one_push = recorded_steps(lambda model: model.forward(wave))
+        hop_pushes = recorded_steps(lambda model: run_chunked(model, wave, HOP_SIZE))
+        assert [len(c) for c in one_push] == [70] * len(one_push)
+        assert all(n == 1 for c in one_push for n, _ in c)
+        assert one_push == hop_pushes
+
+    def test_push_transient_bounded_by_group(self, default_model, rng):
+        # peak minus what the call leaves held: one group's block maps, not
+        # the push's, which would add about 300 KB per frame
+        def transient(frames):
+            wave = rng.uniform(-1, 1, WINDOW_SIZE + (frames - 1) * HOP_SIZE).astype(F32)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                result = default_model.forward(wave)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(result[0]) == len(wave)
+            return peak - held
+
+        transient(8)                       # whatever a first forward leaves cached
+        assert transient(256) - transient(64) <= 2 ** 20
 
 
 class TestDelay:

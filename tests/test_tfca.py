@@ -179,6 +179,13 @@ class TestScoreUpdate:
         bound = 0.0
         for t in range(3):
             q, k = (rng.standard_normal((2, width)) * scale).astype(F32).astype(F64)
+            # negative entries, and +0 and -0 in place of the smaller half:
+            # the row passes' products may drop the sign of a zero, which
+            # must not reach the sum, the exp or the row sums
+            for v in (q, k):
+                small = np.flatnonzero(np.abs(v) < np.median(np.abs(v)))
+                v[small[::2]], v[small[1::2]] = 0.0, -0.0
+            assert np.signbit(q[q == 0]).any() and (q < 0).any()
             bound += np.abs(q).max() * np.abs(k).max()
             denom = np.sqrt(t + 1.0)
             assert (bound / denom > _SAFE_EXP_ARG) == shift
