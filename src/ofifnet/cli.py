@@ -186,10 +186,10 @@ def cmd_stream(args) -> int:
     parts.append(stream_flush(state, model))
     elapsed = time.perf_counter() - t0
     enhanced = np.concatenate(parts)
+    report = delay_from_emissions(state) if args.report_latency else None
     write_wav(args.out, enhanced)
     print(f"streamed {len(wave)} samples in {chunk}-sample chunks ({elapsed:.3f} s)")
-    if args.report_latency:
-        report = delay_from_emissions(state)
+    if report is not None:
         print(f"algorithmic delay: {report.milliseconds:.1f} ms")
     print(f"wrote {args.out} ({len(enhanced)} samples)")
     return 0

@@ -8,10 +8,11 @@ attention block follows each decoder block except the last, whose activation
 is Tanh so the predicted mask lies in [-1, 1]. The mask multiplies the noisy
 spectrum and overlap-add synthesis returns a waveform of the input length.
 ``Model.walk`` is the one place this wiring lives: a stream walks it once
-per group of up to 32 frames, with (C, F, g) maps stepped through each
-block and its carried state, the offline forward once with whole (C, F, T)
-maps through each block's ``forward``, which is ``step`` on a fresh state
-(attention excepted, whose offline realization is its own method).
+per group of up to 32 frames, stepping each block's carried state over a
+(C, F, g) map one frame at a time, the offline forward once with whole
+(C, F, T) maps through each block's ``forward``, which steps a fresh state
+32 frames at a time (attention excepted, whose offline realization is its
+own method). Both split frames through ``nn.step_frames``.
 
 ``Model.forward`` takes the attention mode per call.
 
@@ -41,9 +42,9 @@ from .nn import (
     conv2d_out_freq,
     conv_frame_taps,
     deconv2d_out_freq,
+    deconv_as_time_conv,
     deconv_frame_taps,
-    deconv_tap_matrices,
-    in_passes,
+    step_frames,
     with_history,
 )
 from .tfca import MODES, TFCA_PARAM_SHAPES, TfcaBlock
@@ -75,6 +76,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.pool_window < 1:
             raise ConfigurationError("pooling window must be >= 1")
+        if min(self.encoder_channels + self.decoder_channels + self.tfsm_hidden, default=1) < 1:
+            raise ConfigurationError("channel counts and hidden sizes must be >= 1")
         if min(self.kernel) < 1:
             raise ConfigurationError(f"kernel sizes must be >= 1, got {list(self.kernel)}")
         if self.stride[1] != 1:
@@ -131,10 +134,24 @@ class ModelConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-        for key in ("encoder_channels", "decoder_channels", "kernel", "stride", "tfsm_hidden"):
-            if key in data:
-                data[key] = tuple(data[key])
+        for key, value in data.items():
+            data[key] = _sidecar_value(key, value, getattr(cls, key))
         return cls(**data)
+
+
+def _sidecar_value(key: str, value, default):
+    """A sidecar field of its default's JSON type, lists as tuples."""
+    if isinstance(default, int):
+        if type(value) is int:              # JSON true and false load as bool, an int
+            return value
+        want = "an integer"
+    else:
+        arity = len(default) if key in ("kernel", "stride") else None
+        if isinstance(value, list) and all(type(v) is int for v in value) \
+                and arity in (None, len(value)):
+            return tuple(value)
+        want = f"a list of {arity or 'any number of'} integers"
+    raise ConfigurationError(f"config field {key!r} must be {want}, got {json.dumps(value)}")
 
 
 DEFAULT_CONFIG = ModelConfig()
@@ -256,11 +273,9 @@ class _ConvBlock:
         self.out_pad_f = out_pad_f
         self.transposed = transposed
         self.final_tanh = final_tanh
-        self.k_t = w.shape[3]
-        self.c_in = w.shape[0] if transposed else w.shape[1]
-        # the kernel held once in float32: whole for a conv, per time tap for a deconv
-        self.w = None if transposed else w
-        self._w_taps = deconv_tap_matrices(w) if transposed else None
+        # the kernel held once in float32; a deconv's as the conv of its time taps
+        self.w = deconv_as_time_conv(w) if transposed else w
+        _, self.c_in, _, self.k_t = self.w.shape
         var = np.asarray(var, dtype=F64)
         if np.any(var < 0):
             raise WeightError("batch-norm running variance contains negative entries")
@@ -281,10 +296,11 @@ class _ConvBlock:
     def _frames(self, frames: np.ndarray) -> np.ndarray:
         """(n + k_t - 1, C_in, F) float32 history and frames -> (n, C_out, F') float32."""
         if self.transposed:
-            y = deconv_frame_taps(frames, self._w_taps, self.b,
+            y = deconv_frame_taps(frames, self.w, len(self.b),
                                   self.stride_f, self.pad_f, self.out_pad_f)
         else:
-            y = conv_frame_taps(frames, self.w, self.b, self.stride_f, self.pad_f)
+            y = conv_frame_taps(frames, self.w, self.stride_f, self.pad_f)
+        y += self.b[:, None]
         y *= self.bn_scale
         y += self.bn_shift
         if self.final_tanh:
@@ -292,21 +308,19 @@ class _ConvBlock:
         return np.where(y >= 0, y, self.slopes * y)
 
     def step(self, x: np.ndarray, state: _ConvState) -> np.ndarray:
-        """(C_in, F, n) frames after the carried ones -> (C_out, F', n).
-
-        The frames run in passes of at most ``FRAMES_PER_PASS`` after the
-        k_t - 1 frames before them, zeros before the first frame.
-        """
+        """(C_in, F, n) frames after the carried ones -> (C_out, F', n), in
+        one kernel call on the n frames after the k_t - 1 before them, zeros
+        before the first frame."""
         c, f_dim, n = x.shape
         self._check_channels(c)
         hist = self.k_t - 1
         frames = state.frames = with_history(state.frames, hist, n, (c, f_dim), F32)
         frames[hist:] = x.transpose(2, 0, 1)
-        return in_passes(self._frames, frames, hist).transpose(1, 2, 0)
+        return self._frames(frames).transpose(1, 2, 0)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Whole (C_in, F, T) map, zero history before frame 0."""
-        return self.step(np.asarray(x, dtype=F32), self.init_state())
+        return step_frames(self, np.asarray(x, dtype=F32), self.init_state())
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +441,7 @@ class Model:
                     np.concatenate([head_mask, state.last_mask], axis=1))
         stacked = ofif.ofif_stack_frames(stdct.frame_signal_full(wave))
         mask = self.walk(stacked, _run_offline)
-        s_hat = (mask.astype(F64) * stacked[0].astype(F64)).astype(F32)
-        return stdct.istdct_ola(s_hat, n_samples), mask
+        return stdct.istdct_ola(mask * stacked[0], n_samples), mask
 
 
 def _run_offline(block, x: np.ndarray) -> np.ndarray:

@@ -5,8 +5,7 @@ the network computes in float32 from end to end: weights are held once in
 float32, and every product, batch norm, activation, gate and attention
 softmax runs in float32. Four parts stay float64:
 
-  * analysis and synthesis (``stdct``, ``ofif``, and the mask product that
-    applies the network's float32 mask to the noisy spectrum);
+  * analysis and synthesis (``stdct``, ``ofif``);
   * ``causal_pool_time`` and the per-frame sums and maxes that feed it, and
     the attention's per-frame (C, F) mean; each pooled statistic is rounded
     to float32 once, where its query or key is projected;
@@ -19,9 +18,10 @@ Batch-norm scale and shift are folded from the float32 statistics once, in
 float64, and held in float32.
 
 The kernels take n frames along a leading time axis, each frame a
-contiguous block. A block's one ``step(x, state)`` calls them on its carried
-history plus n frames: a stream's frame is n = 1, a whole map n = T on a
-fresh state. Every per-frame product is its own item of a stacked
+contiguous block, and return products only. A block's ``step(x, state)``
+makes one kernel call on its history plus n frames; ``step_frames`` alone
+splits frames into steps: one per frame in a stream, ``FRAMES_PER_PASS``
+for a whole map. Every per-frame product is its own item of a stacked
 ``np.matmul`` (never one wider GEMM, whose blocking can change the rounding)
 and every reduction runs over the same axis in the same order whatever n
 is, so any split of the frames into calls gives identical bits.
@@ -42,9 +42,9 @@ from .errors import ConfigurationError
 F32 = np.float32
 F64 = np.float64
 
-#: A block's ``step`` runs the n-frame kernels on at most this many frames
-#: per call, so their temporaries (a conv's patch matrix is k_f * k_t times
-#: its input) stay a few MB however long the utterance is.
+#: ``step_frames`` steps a whole map this many frames per call, so the
+#: kernels' temporaries (a conv's patch matrix is k_f * k_t times its input)
+#: stay a few MB however long the utterance is.
 FRAMES_PER_PASS = 32
 
 #: Batch-norm epsilon of the conv blocks' evaluation-mode normalization.
@@ -69,18 +69,14 @@ def with_history(buf: np.ndarray | None, hist: int, n: int,
     return out
 
 
-def in_passes(kernel, frames: np.ndarray, hist: int = 0) -> np.ndarray:
-    """``kernel`` over n frames in passes of at most ``FRAMES_PER_PASS``.
-
-    ``frames`` holds ``hist`` frames of history, then the n frames, along
-    axis 0; each pass gets the ``hist`` frames before its own. The passes'
-    outputs are joined along axis 0.
-    """
-    n = len(frames) - hist
-    if n <= FRAMES_PER_PASS:
-        return kernel(frames)
-    return np.concatenate([kernel(frames[s:s + FRAMES_PER_PASS + hist])
-                           for s in range(0, n, FRAMES_PER_PASS)])
+def step_frames(block, x: np.ndarray, state, width: int = FRAMES_PER_PASS) -> np.ndarray:
+    """``block.step`` over the n frames of a (C, F, n) map, ``width`` frames
+    per call with one carried ``state``; the outputs joined along time."""
+    n = x.shape[2]
+    if n <= width:
+        return block.step(x, state)
+    return np.concatenate([block.step(x[:, :, s:s + width], state)
+                           for s in range(0, n, width)], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +91,8 @@ def deconv2d_out_freq(f_dim: int, k_f: int, s_f: int, pad_f: int, out_pad_f: int
     return (f_dim - 1) * s_f - 2 * pad_f + k_f + out_pad_f
 
 
-def conv_frame_taps(frames: np.ndarray, w: np.ndarray, b: np.ndarray,
-                    s_f: int, pad_f: int) -> np.ndarray:
-    """Causal conv output frames from their input frames.
+def conv_frame_taps(frames: np.ndarray, w: np.ndarray, s_f: int, pad_f: int) -> np.ndarray:
+    """Causal conv products of output frames from their input frames, no bias.
 
     ``frames`` is (n + k_t - 1, C_in, F) float32, oldest first; its first
     k_t - 1 frames are history, zeros standing in for frames before the start
@@ -122,52 +117,46 @@ def conv_frame_taps(frames: np.ndarray, w: np.ndarray, b: np.ndarray,
     s_t, s_c, s_x = xp.strides
     patches = np.ndarray((n, c_in, k_f, k_t, out_f), xp.dtype, xp, 0,
                          (s_t, s_c, s_x, s_t, s_f * s_x)).reshape(n, c_in * k_f * k_t, out_f)
-    y = w.reshape(c_out, -1) @ patches
-    y += b[:, None]
-    return y
+    return w.reshape(c_out, -1) @ patches
 
 
-def deconv_tap_matrices(w: np.ndarray) -> list[np.ndarray]:
-    """Per-time-tap weight matrices (C_out*k_f, C_in), precomputed once."""
+def deconv_as_time_conv(w: np.ndarray) -> np.ndarray:
+    """A (C_in, C_out, k_f, k_t) transposed-conv kernel as a (C_out * k_f,
+    C_in, 1, k_t) float32 conv kernel: raw frame t of a stride-1 transposed
+    conv mixes input frame t - j against tap j, a conv's frame t mixes frame
+    t - (k_t - 1) + j, so the time taps are reversed."""
     c_in, c_out, k_f, k_t = w.shape
-    return [np.ascontiguousarray(
-        w[:, :, :, j].transpose(1, 2, 0).reshape(c_out * k_f, c_in))
-        for j in range(k_t)]
+    w_time = np.empty((c_out * k_f, c_in, 1, k_t), dtype=F32)
+    for j in range(k_t):        # tap by tap: about 3 times faster than one 4-D copy
+        w_time[:, :, 0, k_t - 1 - j] = w[..., j].reshape(c_in, -1).T
+    return w_time
 
 
-def deconv_frame_taps(frames: np.ndarray, w_taps: list[np.ndarray], b: np.ndarray,
+def deconv_frame_taps(frames: np.ndarray, w_time: np.ndarray, c_out: int,
                       s_f: int, pad_f: int, out_pad_f: int) -> np.ndarray:
-    """Causal transposed-conv output frames from their input frames.
+    """Causal transposed-conv products of output frames, no bias.
 
-    ``frames`` is (n + k_t - 1, C_in, F) float32 as for ``conv_frame_taps``;
-    returns (n, C_out, F') float32. Raw time index t of a stride-1 transposed
-    convolution mixes input frames t-j against kernel tap j, so evaluating
-    only at t (never t+1..t+k_t-1) is exactly the trailing-frame discard that
-    keeps the layer causal.
+    ``frames`` is as for ``conv_frame_taps``, ``w_time`` from
+    ``deconv_as_time_conv``; returns (n, C_out, F') float32. One conv product
+    gives the k_f frequency taps of raw frames t only (never t+1..t+k_t-1),
+    which is the trailing-frame discard that keeps the layer causal; the taps
+    then overlap-add at stride s_f along frequency.
     """
-    t_in, c_in, f_dim = frames.shape
-    k_t = len(w_taps)
-    n = t_in - k_t + 1
-    c_out = b.shape[0]
-    k_f = w_taps[0].shape[0] // c_out
+    t_in, _, f_dim = frames.shape
+    n = t_in - w_time.shape[3] + 1
+    k_f = w_time.shape[0] // c_out
     raw_len = (f_dim - 1) * s_f + k_f
-    trim_hi = pad_f - out_pad_f
-    out_f = raw_len - pad_f - trim_hi
+    out_f = deconv2d_out_freq(f_dim, k_f, s_f, pad_f, out_pad_f)
     if out_f < 1:
         raise ConfigurationError(
             f"deconv output frequency size {out_f} is not positive "
             f"(F={f_dim} k_f={k_f} stride={s_f} pad_f={pad_f})")
-    acc = np.zeros((n, c_out, raw_len), dtype=F32)
-    for j in range(k_t):
-        m = (w_taps[j] @ frames[k_t - 1 - j:k_t - 1 - j + n]).reshape(n, c_out, k_f, f_dim)
-        for kf in range(k_f):
-            acc[:, :, kf:kf + s_f * (f_dim - 1) + 1:s_f] += m[:, :, kf, :]
-    if trim_hi >= 0:
-        y = acc[:, :, pad_f:raw_len - trim_hi]
-    else:
-        y = np.concatenate([acc[:, :, pad_f:], np.zeros((n, c_out, -trim_hi), dtype=F32)],
-                           axis=2)
-    return y + b[:, None]
+    taps = conv_frame_taps(frames, w_time, 1, 0).reshape(n, c_out, k_f, f_dim)
+    # output bins past the raw ones (out_pad_f > pad_f) stay zero
+    acc = np.zeros((n, c_out, max(raw_len, pad_f + out_f)), dtype=F32)
+    for kf in range(k_f):
+        acc[:, :, kf:kf + s_f * (f_dim - 1) + 1:s_f] += taps[:, :, kf]
+    return acc[:, :, pad_f:pad_f + out_f]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ A push processes the frames it completes in groups of at most
 the whole-utterance forward: the analysis ``ofif_stack_frames`` on the
 group's (W, g) raw frames, the network walk ``Model.walk`` over (C, F, g)
 maps, and an ``OverlapAdd`` whose buffer stays one window long however long
-the stream runs. The walk is layer-major: each block steps over all of the
-group's frames, with its carried state, before the next block runs, so a
-block's weights and state stay in cache across the group. A push of one hop
+the stream runs. The walk is layer-major: each block steps its carried state
+over the group's frames (``nn.step_frames``) before the next block runs, so
+a block's weights and state stay in cache across the group. A push of one hop
 is the g = 1 case. Because every stage gives the same bits whatever the
 chunking and grouping, the concatenated output is bit-identical across
 chunkings and equal to the cumulative-mode forward pass, which is itself a
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stdct
-from .errors import ConfigurationError, NonFiniteInputError, StreamClosedError
-from .nn import F32, F64, FRAMES_PER_PASS
+from .errors import ConfigurationError, NonFiniteInputError, SignalTooShortError, StreamClosedError
+from .nn import F32, FRAMES_PER_PASS, step_frames
 # bound here, so that wrappers set on the ofif and stdct modules (as the
 # benchmark's tracing does) see only the whole-utterance calls
 from .ofif import ofif_stack_frames
@@ -91,11 +91,9 @@ class StreamState:
         One ``step`` per frame, because the benchmark's per-layer trace
         checks that each block's ``step`` runs once per stream frame; a
         single ``block.step(x, state)`` gives the same bits and can replace
-        the loop once that check counts the frames of each call instead.
+        it once that check counts the frames of each call instead.
         """
-        state = self._block_states[block]
-        return np.concatenate([block.step(x[:, :, i:i + 1], state)
-                               for i in range(x.shape[2])], axis=2)
+        return step_frames(block, x, self._block_states[block], 1)
 
     def _process(self, raw: np.ndarray, during_flush: bool = False) -> np.ndarray:
         """Run the k frames of a (W, k) raw frame matrix in groups of at most
@@ -111,8 +109,7 @@ class StreamState:
             self.frame_index += g
             mask = self.model.walk(spec4, self._run_block)
             self.last_mask[:, g0:g0 + g] = mask
-            s_hat = (mask.astype(F64) * spec4[0].astype(F64)).astype(F32)
-            out[g0 * HOP:(g0 + g) * HOP] = self._ola.add(s_hat)
+            out[g0 * HOP:(g0 + g) * HOP] = self._ola.add(mask * spec4[0])
             if not during_flush:
                 # the group's first frame waited longest for its input
                 self.max_latency = max(self.max_latency, self.consumed - t * HOP)
@@ -211,7 +208,7 @@ def _run_stream(model, wave: np.ndarray, chunk: int):
 def delay_from_emissions(state: StreamState) -> DelayReport:
     """The latency of a stream's emissions outside its flush."""
     if state.first_emission_consumed is None:
-        raise ConfigurationError("no steady-state emissions; feed at least one window")
+        raise SignalTooShortError("no steady-state emissions; feed at least one window")
     return DelayReport(max_latency=state.max_latency,
                        structural_latency=state.structural_latency,
                        first_emission_consumed=state.first_emission_consumed)

@@ -26,8 +26,8 @@ bits. Only the attention itself has two realizations:
     sqrt(t+1); the final frame reproduces the offline matrices. This is the
     strictly causal realization the streaming engine uses. ``step`` runs it
     frame by frame over its n frames after one projection; a stream steps one
-    frame at a time, and the cumulative ``forward`` is one step of the whole
-    map on a fresh state.
+    frame at a time, and the cumulative ``forward`` steps a fresh state over
+    the whole map 32 frames at a time (``nn.step_frames``).
 
 Values, queries, keys, every softmax and every product are float32. Two
 things stay float64: the per-frame pooling sums and maxes (``project``),
@@ -56,7 +56,7 @@ import mmap
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import F32, F64, causal_pool_time, masked_softmax, row_softmax, with_history
+from .nn import F32, F64, causal_pool_time, masked_softmax, row_softmax, step_frames, with_history
 
 MODES = ("cumulative", "offline")
 
@@ -368,7 +368,7 @@ class TfcaBlock:
 
     def forward(self, x: np.ndarray, mode: str = "cumulative") -> np.ndarray:
         """Shape-preserving recalibration of a (C, F, T) map; cumulative is
-        ``step`` on a fresh state."""
+        ``nn.step_frames`` on a fresh state."""
         x = np.asarray(x, dtype=F32)
         self._check_shape(x.shape)
         if mode not in MODES:
@@ -376,7 +376,7 @@ class TfcaBlock:
         if mode == "offline" and x.shape[2]:
             return self._forward_offline(x)
         # cumulative, or an empty map, which both modes return empty
-        return self.step(x, self.init_state())
+        return step_frames(self, x, self.init_state())
 
     def _offline(self, x: np.ndarray):
         """The projection of a whole (C, F, T) map and its offline attention.

@@ -10,11 +10,11 @@ Each block runs two residual stages on a (C, F, T) map:
 Stage 1 touches one frame at a time and stage 2 only looks backwards, so the
 block is strictly time-causal. Both stages run the one GRU kernel,
 ``nn.Gru.scan``, in float32. The one ``step`` runs n frames: stage 1 scans
-the F bins with both directions and up to ``FRAMES_PER_PASS`` frames as its
-batch, then stage 2 scans the n frames from the carried hidden state with
-all bins as its batch. Each frame's products are the same calls whatever n
-is, so a stream's one-frame steps reproduce the whole-map ``forward`` (a
-step on a fresh state) bit for bit.
+the F bins with both directions and the n frames as its batch, then stage 2
+scans the n frames from the carried hidden state with all bins as its batch.
+Each frame's products are the same calls whatever n is, so a stream's
+one-frame steps reproduce the whole-map ``forward`` (``nn.step_frames`` on a
+fresh state) bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import F32, Gru, in_passes
+from .nn import F32, Gru, step_frames
 
 
 class TfsmState:
@@ -91,7 +91,7 @@ class TfsmBlock:
         c, f_dim, n = x.shape
         self._check_channels(c)
         seq = x.transpose(2, 1, 0)                                 # (n, F, C)
-        inp = in_passes(self._freq_stage, seq)
+        inp = self._freq_stage(seq)
         gx = inp @ self.time.w_in                                  # (1, n, F, 3h)
         # one scan over the n frames, the F bins its batch
         states = np.empty((n + 1, 1, f_dim, 1, self.hidden), dtype=F32)
@@ -105,4 +105,4 @@ class TfsmBlock:
         x = np.asarray(x, dtype=F32)
         if x.ndim != 3:
             raise ConfigurationError(f"expected (C, F, T) input, got shape {x.shape}")
-        return self.step(x, self.init_state())
+        return step_frames(self, x, self.init_state())

@@ -217,6 +217,17 @@ class TestStream:
         assert "algorithmic delay: 32.0 ms" in out
         assert read_wav(stream).tobytes() == read_wav(enh).tobytes()
 
+    def test_latency_of_input_shorter_than_a_window_exit_2(self, workdir, tmp_path, capsys):
+        short, out = tmp_path / "short.wav", tmp_path / "o.wav"
+        write_wav(short, workdir["wave"][:300])
+        rc = main(["stream", "--in", str(short), "--out", str(out),
+                   "--weights", workdir["weights"], "--config", workdir["config"],
+                   "--chunk-ms", "8", "--report-latency"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("ERR:input:") and "no steady-state emissions" in err
+        assert len(err.splitlines()) == 1 and not out.exists()
+
     def test_zero_chunk_usage_error(self, workdir, tmp_path, capsys):
         rc = main(["stream", "--in", workdir["in"], "--out", str(tmp_path / "o.wav"),
                    "--weights", workdir["weights"], "--config", workdir["config"],
@@ -307,7 +318,8 @@ class TestWeightsTooling:
         assert rc == 0
         assert "total parameters:" in out and "module enc:" in out
 
-    @pytest.mark.parametrize("field", [{"kernel": [5, 0]}, {"stride": [0, 1]}])
+    @pytest.mark.parametrize("field", [{"kernel": [5, 0]}, {"stride": [0, 1]},
+                                       {"kernel": [5]}, {"encoder_channels": 5}])
     def test_degenerate_kernel_or_stride_config_exit_3(self, tmp_path, capsys, field):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(field))

@@ -1,6 +1,8 @@
 """Model assembly, parameter accounting, forward contracts, objective functions."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,6 +91,19 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown"):
             ModelConfig.from_json('{"bogus": 3}')
+
+    @pytest.mark.parametrize("key, value", [
+        ("kernel", [5]), ("stride", [2]), ("stride", [2, 1, 1]), ("kernel", [5, 2.0]),
+        ("encoder_channels", 5), ("tfsm_hidden", [128, "64", 32]),
+        ("decoder_channels", None), ("pool_window", "15"), ("pool_window", True),
+        ("freq_pad", 2.0)])
+    def test_malformed_field_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"config field '{key}' must be"):
+            ModelConfig.from_json(json.dumps({key: value}))
+
+    def test_negative_channel_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="channel counts"):
+            ModelConfig.from_json(json.dumps({"decoder_channels": [128, 64, 32, -16, 1]}))
 
     def test_mismatched_decoder_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -305,11 +320,11 @@ class TestBlockForwardEqualsSteps:
                                  x.transpose(2, 0, 1)])
         if blk.transposed:
             def kernel(v):
-                return deconv_frame_taps(v, blk._w_taps, blk.b, blk.stride_f,
+                return deconv_frame_taps(v, blk.w, len(blk.b), blk.stride_f,
                                          blk.pad_f, blk.out_pad_f)
         else:
             def kernel(v):
-                return conv_frame_taps(v, blk.w, blk.b, blk.stride_f, blk.pad_f)
+                return conv_frame_taps(v, blk.w, blk.stride_f, blk.pad_f)
         whole = kernel(frames)
         assert whole.dtype == F32
         framewise = np.concatenate([kernel(frames[t:t + k_t]) for t in range(t_dim)])
@@ -323,6 +338,38 @@ class TestBlockForwardEqualsSteps:
         assert whole.dtype == F32
         framewise = np.concatenate([blk._freq_gru(seq[t:t + 1]) for t in range(len(seq))])
         assert whole.tobytes() == framewise.tobytes()
+
+
+class TestWholeMapForward:
+    """A block's whole-map ``forward`` steps a fresh state over the map in
+    passes of at most ``FRAMES_PER_PASS`` frames."""
+
+    @pytest.mark.parametrize("name", ["enc.0", "tfsm.0", "skip.4", "dec.0"])
+    def test_steps_in_passes_in_order(self, default_model, rng, name):
+        blk, x = _block_and_input(default_model, name, rng, frames=70)
+        with mock.patch.object(blk, "step", wraps=blk.step) as step:
+            blk.forward(x)
+        parts = [c.args[0] for c in step.call_args_list]
+        assert len(parts) == 3
+        assert all(p.shape[2] <= FRAMES_PER_PASS for p in parts)
+        assert len({id(c.args[1]) for c in step.call_args_list}) == 1
+        assert np.concatenate(parts, axis=2).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("name", ["fuse", "enc.0", "tfsm.0", "skip.0", "dec.0"])
+    def test_transient_memory_flat_in_frames(self, default_model, rng, name):
+        # beyond the output, held twice (the passes' outputs and their joined
+        # copy), a forward's tracemalloc peak stays what one pass needs
+        transient = []
+        for frames in (64, 256):
+            blk, x = _block_and_input(default_model, name, rng, frames=frames)
+            tracemalloc.start()
+            try:
+                y = blk.forward(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            transient.append(peak - 2 * y.nbytes)
+        assert transient[1] <= transient[0] + 2 ** 18, [t / 2 ** 20 for t in transient]
 
 
 class TestFloat32Contract:

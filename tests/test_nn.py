@@ -25,6 +25,51 @@ def linear_conv(w, b, stride=(2, 1), pad_f=0, out_pad_f=0, transposed=False):
                       ones, ones, stride, pad_f, out_pad_f=out_pad_f, transposed=transposed)
 
 
+def conv_loop_oracle(x, w, b, s_f, pad_f):
+    """Causal convolution by its definition, in float64: output (co, f, t) is
+    b[co] plus w[co, ci, kf, kt] * x[ci, f * s_f + kf - pad_f, t - (k_t - 1) + kt]
+    summed over the taps that land inside the map."""
+    c_in, f_dim, t_dim = x.shape
+    c_out, _, k_f, k_t = w.shape
+    out_f = (f_dim + 2 * pad_f - k_f) // s_f + 1
+    w, x = w.astype(np.float64), x.astype(np.float64)
+    y = np.zeros((c_out, out_f, t_dim)) + np.asarray(b, dtype=np.float64)[:, None, None]
+    for t in range(t_dim):
+        for fo in range(out_f):
+            for kf in range(k_f):
+                fi = fo * s_f + kf - pad_f
+                for kt in range(k_t):
+                    ti = t - (k_t - 1) + kt
+                    if 0 <= fi < f_dim and ti >= 0:
+                        y[:, fo, t] += w[:, :, kf, kt] @ x[:, fi, ti]
+    return y
+
+
+def deconv_loop_oracle(x, w, b, s_f, pad_f, out_pad_f):
+    """Causal transposed convolution by its definition, in float64: input
+    (ci, i, t) adds x[ci, i, t] * w[ci, co, kf, kt] at output bin
+    i * s_f + kf - pad_f and frame t + kt; frames past the input's last are
+    dropped, and the out_pad_f bins past the raw ones hold the bias alone."""
+    c_in, f_dim, t_dim = x.shape
+    _, c_out, k_f, k_t = w.shape
+    out_f = (f_dim - 1) * s_f - 2 * pad_f + k_f + out_pad_f
+    w, x = w.astype(np.float64), x.astype(np.float64)
+    y = np.zeros((c_out, out_f, t_dim)) + np.asarray(b, dtype=np.float64)[:, None, None]
+    for t in range(t_dim):
+        for i in range(f_dim):
+            for kf in range(k_f):
+                fo = i * s_f + kf - pad_f
+                for kt in range(k_t):
+                    if 0 <= fo < out_f and t + kt < t_dim:
+                        y[:, fo, t + kt] += w[:, :, kf, kt].T @ x[:, i, t]
+    return y
+
+
+def assert_close_relative(got, ref, rel=1e-5):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
 class TestConv2dCausal:
     """Causal convolution as the live ``_ConvBlock`` computes it."""
 
@@ -68,6 +113,15 @@ class TestConv2dCausal:
             b = np.zeros(2, dtype=F32)
             f = linear_conv(w, b, stride=(2, 1), pad_f=2).forward(x).shape[1]
         assert f == 16
+
+    @pytest.mark.parametrize("k_t", [1, 2, 3])
+    @pytest.mark.parametrize("s_f, pad_f", [(1, 0), (1, 2), (2, 2), (2, 1)])
+    def test_matches_float64_loop_oracle(self, rng, s_f, pad_f, k_t):
+        x = fmap(rng, 3, 11, 7)
+        w = rng.uniform(-0.5, 0.5, (4, 3, 5, k_t)).astype(F32)
+        b = rng.uniform(-0.5, 0.5, 4).astype(F32)
+        y = linear_conv(w, b, stride=(s_f, 1), pad_f=pad_f).forward(x)
+        assert_close_relative(y, conv_loop_oracle(x, w, b, s_f, pad_f))
 
 
 class TestDeconv2dCausal:
@@ -114,6 +168,17 @@ class TestDeconv2dCausal:
         block = linear_conv(w, np.zeros(1, dtype=F32), stride=(2, 1), pad_f=3, transposed=True)
         with pytest.raises(ConfigurationError):
             block.forward(x)
+
+    @pytest.mark.parametrize("k_t", [1, 2, 3])
+    @pytest.mark.parametrize("s_f, pad_f, out_pad_f", [
+        (1, 0, 0), (1, 2, 0), (2, 2, 1), (2, 0, 1), (2, 1, 3)])
+    def test_matches_float64_loop_oracle(self, rng, s_f, pad_f, out_pad_f, k_t):
+        x = fmap(rng, 3, 9, 7)
+        w = rng.uniform(-0.5, 0.5, (3, 4, 5, k_t)).astype(F32)
+        b = rng.uniform(-0.5, 0.5, 4).astype(F32)
+        y = linear_conv(w, b, stride=(s_f, 1), pad_f=pad_f, out_pad_f=out_pad_f,
+                        transposed=True).forward(x)
+        assert_close_relative(y, deconv_loop_oracle(x, w, b, s_f, pad_f, out_pad_f))
 
 
 class TestGru:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofifnet.errors import ConfigurationError, EngineError, NonFiniteInputError, StreamClosedError
+from ofifnet.errors import (ConfigurationError, EngineError, NonFiniteInputError,
+                            SignalTooShortError, StreamClosedError)
 from ofifnet.model import Model
 from ofifnet.stdct import HOP_SIZE, WINDOW_SIZE
 from ofifnet.stream import (
@@ -298,6 +299,12 @@ class TestDelay:
         _, state = run_chunked(default_model, wave, HOP_SIZE)
         report = delay_from_emissions(state)
         assert report.structural_latency == WINDOW_SIZE
+
+    def test_input_shorter_than_a_window_has_no_latency(self, default_model, rng):
+        # an input problem, not a configuration one
+        _, state = run_chunked(default_model, rng.uniform(-1, 1, 300).astype(F32), HOP_SIZE)
+        with pytest.raises(SignalTooShortError, match="no steady-state emissions"):
+            delay_from_emissions(state)
 
     def test_structural_latency_zero_until_a_frame_comes_out(self, default_model, rng):
         wave = rng.uniform(-1, 1, WINDOW_SIZE).astype(F32)
