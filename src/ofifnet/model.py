@@ -19,17 +19,22 @@ own method). Both split frames through ``nn.step_frames``.
 ``ModelConfig`` holds only what a weight file can vary; the input's 4
 channels (``ofif.NUM_CHANNELS``) and 512 bins (``stdct.DCT_SIZE``) are fixed
 by the analysis. Weight tensors live in a flat name -> array mapping with
-canonical dotted paths (``enc.0.conv.w`` ...); ``weight_layout`` enumerates
-the exact names and shapes a configuration requires, and loading validates
-against it tensor by tensor.
+canonical dotted paths (``enc.0.conv.w`` ...): a block's prefix, then a name
+from the tensor table of the module that owns the block (``_conv_layout``
+here, ``tfsm.TFSM_PARAM_SHAPES``, ``tfca.TFCA_PARAM_SHAPES``). The block
+plan (``_block_plan``) lists the blocks once, in weight-file order:
+``weight_layout`` flattens it into the exact names and shapes a
+configuration requires, loading checks the tensors against that tensor by
+tensor, and ``Model`` builds each block from its own tensors.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,7 +53,7 @@ from .nn import (
     with_history,
 )
 from .tfca import MODES, TFCA_PARAM_SHAPES, TfcaBlock
-from .tfsm import TfsmBlock
+from .tfsm import TFSM_PARAM_SHAPES, TfsmBlock
 
 SI_SNR_CAP_DB = 120.0
 MASK_EPS = 1e-8
@@ -161,54 +166,54 @@ DEFAULT_CONFIG = ModelConfig()
 # weight layout and initialization
 # ---------------------------------------------------------------------------
 
-def _tfca_layout(prefix: str, channels: int) -> "OrderedDict[str, tuple[int, ...]]":
-    out: "OrderedDict[str, tuple[int, ...]]" = OrderedDict()
-    for name, shape_of in TFCA_PARAM_SHAPES:
-        out[f"{prefix}.{name}"] = shape_of(channels)
-    return out
+def _conv_layout(w_shape: tuple[int, ...], c_out: int, tanh: bool = False) -> dict:
+    """A conv block's tensors: its kernel and bias, its batch norm, then its
+    PReLU slopes, which a block that ends in Tanh has none of."""
+    layout = {"conv.w": w_shape, "conv.b": (c_out,)}
+    layout.update((f"bn.{stat}", (c_out,)) for stat in ("gamma", "beta", "mean", "var"))
+    if not tanh:
+        layout["prelu.slope"] = (c_out,)
+    return layout
+
+
+def _block_plan(config: ModelConfig):
+    """(prefix, layout, builder) of every block, in weight-file order.
+
+    ``layout`` maps the block's tensor names, without the prefix, to their
+    shapes, from the table of the module that owns the block; ``builder``
+    makes the block from those tensors. The fuse attention, the encoder, the
+    recurrent blocks and the skip attentions come first, then each decoder
+    block and its attention; the last decoder block has none, and no PReLU:
+    it ends in Tanh.
+    """
+    enc, dec = config.encoder_channels, config.decoder_channels
+    k = config.kernel
+    conv = partial(_ConvBlock, stride=config.stride, pad_f=config.freq_pad)
+
+    def tfca(prefix, c):
+        return (prefix, {n: shape_of(c) for n, shape_of in TFCA_PARAM_SHAPES},
+                partial(TfcaBlock, c, config.pool_window))
+
+    yield tfca("fuse", ofif.NUM_CHANNELS)
+    for i, (c_in, c) in enumerate(zip((ofif.NUM_CHANNELS, *enc), enc)):
+        yield f"enc.{i}", _conv_layout((c, c_in, *k), c), conv
+    for j, h in enumerate(config.tfsm_hidden):
+        yield (f"tfsm.{j}", {n: shape_of(enc[-1], h) for n, shape_of in TFSM_PARAM_SHAPES},
+               partial(TfsmBlock, enc[-1], h))
+    for i, c in enumerate(enc):
+        yield tfca(f"skip.{i}", c)
+    for j, (d_in, c) in enumerate(zip((enc[-1], *dec), dec)):
+        last = j == len(dec) - 1
+        yield (f"dec.{j}", _conv_layout((d_in + enc[-1 - j], c, *k), c, tanh=last),
+               partial(conv, out_pad_f=config.freq_out_pad, transposed=True))
+        if not last:
+            yield tfca(f"dectfca.{j}", c)
 
 
 def weight_layout(config: ModelConfig) -> "OrderedDict[str, tuple[int, ...]]":
     """Every tensor name and shape the configuration requires, canonical order."""
-    k_f, k_t = config.kernel
-    out: "OrderedDict[str, tuple[int, ...]]" = OrderedDict()
-    out.update(_tfca_layout("fuse", ofif.NUM_CHANNELS))
-    c_prev = ofif.NUM_CHANNELS
-    for i, c in enumerate(config.encoder_channels):
-        out[f"enc.{i}.conv.w"] = (c, c_prev, k_f, k_t)
-        out[f"enc.{i}.conv.b"] = (c,)
-        for stat in ("gamma", "beta", "mean", "var"):
-            out[f"enc.{i}.bn.{stat}"] = (c,)
-        out[f"enc.{i}.prelu.slope"] = (c,)
-        c_prev = c
-    bott = config.encoder_channels[-1]
-    for j, h in enumerate(config.tfsm_hidden):
-        for d in ("ffwd", "fbwd"):
-            out[f"tfsm.{j}.{d}.W"] = (3 * h, bott)
-            out[f"tfsm.{j}.{d}.U"] = (3 * h, h)
-            out[f"tfsm.{j}.{d}.b"] = (3 * h,)
-        out[f"tfsm.{j}.fproj.w"] = (bott, 2 * h)
-        out[f"tfsm.{j}.fproj.b"] = (bott,)
-        out[f"tfsm.{j}.time.W"] = (3 * h, bott)
-        out[f"tfsm.{j}.time.U"] = (3 * h, h)
-        out[f"tfsm.{j}.time.b"] = (3 * h,)
-        out[f"tfsm.{j}.tproj.w"] = (bott, h)
-        out[f"tfsm.{j}.tproj.b"] = (bott,)
-    for i, c in enumerate(config.encoder_channels):
-        out.update(_tfca_layout(f"skip.{i}", c))
-    d_prev = bott
-    n = len(config.decoder_channels)
-    for j, c in enumerate(config.decoder_channels):
-        c_in = d_prev + config.encoder_channels[n - 1 - j]
-        out[f"dec.{j}.conv.w"] = (c_in, c, k_f, k_t)
-        out[f"dec.{j}.conv.b"] = (c,)
-        for stat in ("gamma", "beta", "mean", "var"):
-            out[f"dec.{j}.bn.{stat}"] = (c,)
-        if j < n - 1:
-            out[f"dec.{j}.prelu.slope"] = (c,)
-            out.update(_tfca_layout(f"dectfca.{j}", c))
-        d_prev = c
-    return out
+    return OrderedDict((f"{prefix}.{name}", shape) for prefix, layout, _ in _block_plan(config)
+                       for name, shape in layout.items())
 
 
 def init_weights(config: ModelConfig, seed: int) -> "OrderedDict[str, np.ndarray]":
@@ -262,29 +267,31 @@ class _ConvState:
 
 
 class _ConvBlock:
-    """Causal conv (or deconv), batch norm, then PReLU or Tanh."""
+    """Causal conv (or deconv), batch norm, then PReLU, or Tanh where
+    ``params`` has no ``prelu.slope``; tensors as ``_conv_layout`` names them."""
 
-    def __init__(self, w, b, gamma, beta, mean, var, slopes, stride, pad_f,
-                 out_pad_f=None, transposed=False, final_tanh=False):
-        w = np.asarray(w, dtype=F32)
-        self.b = np.asarray(b, dtype=F32)
+    def __init__(self, params: dict[str, np.ndarray], stride, pad_f,
+                 out_pad_f=None, transposed=False):
+        w = np.asarray(params["conv.w"], dtype=F32)
+        self.b = np.asarray(params["conv.b"], dtype=F32)
         self.stride_f = stride[0]
         self.pad_f = pad_f
         self.out_pad_f = out_pad_f
         self.transposed = transposed
-        self.final_tanh = final_tanh
         # the kernel held once in float32; a deconv's as the conv of its time taps
         self.w = deconv_as_time_conv(w) if transposed else w
         _, self.c_in, _, self.k_t = self.w.shape
-        var = np.asarray(var, dtype=F64)
+        var = np.asarray(params["bn.var"], dtype=F64)
         if np.any(var < 0):
             raise WeightError("batch-norm running variance contains negative entries")
         # scale and shift folded once in float64, then held in float32
-        bn_scale = np.asarray(gamma, dtype=F64) / np.sqrt(var + BN_EPS)
-        bn_shift = np.asarray(beta, dtype=F64) - np.asarray(mean, dtype=F64) * bn_scale
+        bn_scale = np.asarray(params["bn.gamma"], dtype=F64) / np.sqrt(var + BN_EPS)
+        bn_shift = (np.asarray(params["bn.beta"], dtype=F64)
+                    - np.asarray(params["bn.mean"], dtype=F64) * bn_scale)
         self.bn_scale = bn_scale.astype(F32)[:, None]
         self.bn_shift = bn_shift.astype(F32)[:, None]
-        self.slopes = None if final_tanh else np.asarray(slopes, dtype=F32)[:, None]
+        slopes = params.get("prelu.slope")
+        self.slopes = None if slopes is None else np.asarray(slopes, dtype=F32)[:, None]
 
     def init_state(self) -> _ConvState:
         return _ConvState()
@@ -303,7 +310,7 @@ class _ConvBlock:
         y += self.b[:, None]
         y *= self.bn_scale
         y += self.bn_shift
-        if self.final_tanh:
+        if self.slopes is None:
             return np.tanh(y, out=y)
         return np.where(y >= 0, y, self.slopes * y)
 
@@ -349,44 +356,19 @@ class Model:
             (n, np.asarray(tensors[n], dtype=F32)) for n in layout)
         self._build()
 
-    def _sub(self, prefix: str) -> dict[str, np.ndarray]:
-        plen = len(prefix) + 1
-        return {n[plen:]: a for n, a in self.tensors.items() if n.startswith(prefix + ".")}
-
     def _build(self):
-        cfg = self.config
-        self.fuse = TfcaBlock(ofif.NUM_CHANNELS, cfg.pool_window, self._sub("fuse"))
-        self.enc: list[_ConvBlock] = []
-        for i in range(len(cfg.encoder_channels)):
-            p = self._sub(f"enc.{i}")
-            self.enc.append(_ConvBlock(
-                p["conv.w"], p["conv.b"], p["bn.gamma"], p["bn.beta"], p["bn.mean"],
-                p["bn.var"], p["prelu.slope"], cfg.stride, cfg.freq_pad))
-        self.tfsm: list[TfsmBlock] = [
-            TfsmBlock(cfg.encoder_channels[-1], h, self._sub(f"tfsm.{j}"))
-            for j, h in enumerate(cfg.tfsm_hidden)]
-        self.skip = [TfcaBlock(c, cfg.pool_window, self._sub(f"skip.{i}"))
-                     for i, c in enumerate(cfg.encoder_channels)]
-        self.dec: list[_ConvBlock] = []
-        self.dectfca: list[TfcaBlock] = []
-        n = len(cfg.decoder_channels)
-        for j, c in enumerate(cfg.decoder_channels):
-            p = self._sub(f"dec.{j}")
-            last = j == n - 1
-            self.dec.append(_ConvBlock(
-                p["conv.w"], p["conv.b"], p["bn.gamma"], p["bn.beta"], p["bn.mean"],
-                p["bn.var"], None if last else p["prelu.slope"], cfg.stride,
-                cfg.freq_pad, out_pad_f=cfg.freq_out_pad, transposed=True,
-                final_tanh=last))
-            if not last:
-                self.dectfca.append(TfcaBlock(c, cfg.pool_window, self._sub(f"dectfca.{j}")))
+        """Each block from its own tensors; ``blocks`` lists them in plan order."""
+        self.blocks = []
+        groups = defaultdict(list)
+        for prefix, layout, build in _block_plan(self.config):
+            block = build({name: self.tensors[f"{prefix}.{name}"] for name in layout})
+            self.blocks.append(block)
+            groups[prefix.split(".")[0]].append(block)
+        (self.fuse,) = groups["fuse"]
+        self.enc, self.tfsm, self.skip, self.dec, self.dectfca = (
+            groups[kind] for kind in ("enc", "tfsm", "skip", "dec", "dectfca"))
 
     # -- inference ---------------------------------------------------------------
-
-    @property
-    def blocks(self) -> list:
-        """Every layer block, in the order ``walk`` first runs them."""
-        return [self.fuse, *self.enc, *self.tfsm, *self.skip, *self.dec, *self.dectfca]
 
     def walk(self, x: np.ndarray, run_block) -> np.ndarray:
         """Run the fused input through the network; returns the mask.

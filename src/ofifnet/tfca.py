@@ -11,6 +11,8 @@ convolution merges them:
 
 Value paths are per-branch 1x1 convolutions; all branch outputs concatenate
 into a 1x1 fusion convolution. Shapes are preserved end to end.
+``TFCA_PARAM_SHAPES`` names the block's tensors and gives their shapes;
+``Model`` checks the tensors against it before it builds the block.
 
 Everything a frame contributes on its own — the three branches' values, the
 time query and key, and the pooled frequency and channel queries and keys —
@@ -232,14 +234,7 @@ class TfcaBlock:
             raise ConfigurationError("attention block needs channels >= 1 and window >= 1")
         self.channels = channels
         self.pool_window = pool_window
-        p = {}
-        for name, shape_of in TFCA_PARAM_SHAPES:
-            arr = np.asarray(params[name], dtype=F32)
-            want = shape_of(channels)
-            if arr.shape != want:
-                raise ConfigurationError(
-                    f"attention tensor {name} has shape {arr.shape}, expected {want}")
-            p[name] = arr
+        p = {name: np.asarray(params[name], dtype=F32) for name, _ in TFCA_PARAM_SHAPES}
         # each weight held once, fused: each branch's q and k together, all
         # three values in one matmul; the time q and k stay elementwise products
         self._tqk_w = np.stack([p["tq.w"], p["tk.w"]], axis=1)    # [avg, max] rows

@@ -15,6 +15,9 @@ scans the n frames from the carried hidden state with all bins as its batch.
 Each frame's products are the same calls whatever n is, so a stream's
 one-frame steps reproduce the whole-map ``forward`` (``nn.step_frames`` on a
 fresh state) bit for bit.
+
+``TFSM_PARAM_SHAPES`` names the block's tensors and gives their shapes;
+``Model`` checks the tensors against it before it builds the block.
 """
 
 from __future__ import annotations
@@ -32,6 +35,19 @@ class TfsmState:
         self.hidden: np.ndarray | None = None
 
 
+#: weight name -> shape builder, for a block with C channels and hidden size h
+TFSM_PARAM_SHAPES = (
+    ("ffwd.W", lambda c, h: (3 * h, c)), ("ffwd.U", lambda c, h: (3 * h, h)),
+    ("ffwd.b", lambda c, h: (3 * h,)),
+    ("fbwd.W", lambda c, h: (3 * h, c)), ("fbwd.U", lambda c, h: (3 * h, h)),
+    ("fbwd.b", lambda c, h: (3 * h,)),
+    ("fproj.w", lambda c, h: (c, 2 * h)), ("fproj.b", lambda c, h: (c,)),
+    ("time.W", lambda c, h: (3 * h, c)), ("time.U", lambda c, h: (3 * h, h)),
+    ("time.b", lambda c, h: (3 * h,)),
+    ("tproj.w", lambda c, h: (c, h)), ("tproj.b", lambda c, h: (c,)),
+)
+
+
 class TfsmBlock:
 
     def __init__(self, channels: int, hidden: int, params: dict[str, np.ndarray]):
@@ -43,12 +59,6 @@ class TfsmBlock:
         self.fproj_b = np.asarray(params["fproj.b"], dtype=F32)
         self.tproj_w = np.asarray(params["tproj.w"], dtype=F32)
         self.tproj_b = np.asarray(params["tproj.b"], dtype=F32)
-        if self.freq.input_size != channels or self.time.input_size != channels:
-            raise ConfigurationError("recurrent input sizes must equal the channel count")
-        if self.fproj_w.shape != (channels, 2 * hidden) or self.tproj_w.shape != (channels, hidden):
-            raise ConfigurationError(
-                f"projection shapes {self.fproj_w.shape}/{self.tproj_w.shape} do not match "
-                f"C={channels}, h={hidden}")
 
     def init_state(self) -> TfsmState:
         return TfsmState()

@@ -12,7 +12,7 @@ import pytest
 
 from ofifnet.cli import main, read_wav, write_wav
 from ofifnet.errors import WavFormatError
-from ofifnet.model import ModelConfig
+from ofifnet.model import DEFAULT_CONFIG, ModelConfig
 from ofifnet.weights import read_weights, write_weights
 
 F32 = np.float32
@@ -189,6 +189,26 @@ class TestEnhance:
         assert rc == 3
         assert err.startswith("ERR:weights:") and "tfsm.0.time.W" in err
 
+    def test_missing_weights_file_exit_3(self, workdir, tmp_path, capsys):
+        missing = tmp_path / "nope.ofn"
+        for argv in (["enhance", "--in", workdir["in"], "--out", str(tmp_path / "o.wav"),
+                      "--weights", str(missing), "--config", workdir["config"]],
+                     ["weights", "inspect", str(missing)]):
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc == 3
+            assert err.startswith(f"ERR:weights:cannot read weights {missing}")
+            assert len(err.splitlines()) == 1
+
+    def test_missing_config_file_exit_3(self, workdir, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        rc = main(["enhance", "--in", workdir["in"], "--out", str(tmp_path / "o.wav"),
+                   "--weights", workdir["weights"], "--config", str(missing)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(f"ERR:config:cannot read config {missing}")
+        assert len(err.splitlines()) == 1
+
     def test_retired_offline_mode_sidecar_exit_3(self, workdir, tmp_path, capsys):
         # the mode is chosen per call; a sidecar may no longer carry it
         data = json.loads(TEST_CONFIG.to_json())
@@ -305,6 +325,14 @@ class TestWeightsTooling:
             assert main(["weights", "init", "--seed", "5", "--out", str(path),
                          "--config", workdir["config"]]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_init_config_out_loads_back(self, tmp_path, capsys):
+        sidecar = tmp_path / "c.json"
+        rc = main(["weights", "init", "--seed", "7", "--out", str(tmp_path / "w.ofn"),
+                   "--config-out", str(sidecar)])
+        assert rc == 0
+        assert f"wrote {sidecar}" in capsys.readouterr().out
+        assert ModelConfig.from_json(sidecar.read_text()) == DEFAULT_CONFIG
 
     def test_inspect_lists_tensors(self, workdir, capsys):
         rc = main(["weights", "inspect", workdir["weights"]])

@@ -1,5 +1,6 @@
 """Model assembly, parameter accounting, forward contracts, objective functions."""
 
+import hashlib
 import json
 import tracemalloc
 from unittest import mock
@@ -122,6 +123,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ModelConfig(freq_out_pad=0)
 
+    @pytest.mark.parametrize("field, message", [
+        ({"pool_window": 0}, "pooling window must be >= 1"),
+        ({"stride": (2, 2)}, "time stride must be 1"),
+        ({"decoder_channels": (128, 64, 32, 16, 2)}, "single mask channel")])
+    def test_unsupported_field_rejected(self, field, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ModelConfig(**field)
+
 
 class TestParamCount:
 
@@ -195,6 +204,15 @@ class TestWeightValidation:
         for name, shape in layout.items():
             assert tuple(tensors[name].shape) == shape
 
+    def test_layout_pinned(self):
+        # the names, their order and their shapes fix every seeded weight and
+        # what a weight file holds: the digest is of the layout as of 2c4de71
+        layout = weight_layout(DEFAULT_CONFIG)
+        lines = "".join(f"{name}:{shape}\n" for name, shape in layout.items())
+        assert len(layout) == 308
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "238fc427436c1f6c2aa0d811cc79539cc84db1e3b24148fb1a93ee4e37dd6108")
+
 
 class TestForward:
 
@@ -238,6 +256,10 @@ class TestForward:
     def test_too_short_input_rejected(self, default_model):
         with pytest.raises(SignalTooShortError):
             default_model.forward(np.zeros(100, dtype=F32))
+
+    def test_unknown_mode_rejected(self, default_model):
+        with pytest.raises(ConfigurationError, match="unknown attention mode 'bogus'"):
+            default_model.forward(np.zeros(600, dtype=F32), mode="bogus")
 
     def test_offline_mode_runs_same_shapes(self, default_model, rng):
         wave = rng.uniform(-1, 1, 4000).astype(F32)

@@ -20,9 +20,10 @@ def linear_conv(w, b, stride=(2, 1), pad_f=0, out_pad_f=0, transposed=False):
     """The live conv block with identity batch norm and a slope-1 PReLU, so
     its output is the causal (transposed) convolution alone."""
     c = w.shape[1] if transposed else w.shape[0]
-    ones = np.ones(c)
-    return _ConvBlock(w, b, np.full(c, np.sqrt(1.0 + BN_EPS)), np.zeros(c), np.zeros(c),
-                      ones, ones, stride, pad_f, out_pad_f=out_pad_f, transposed=transposed)
+    params = {"conv.w": w, "conv.b": b, "bn.gamma": np.full(c, np.sqrt(1.0 + BN_EPS)),
+              "bn.beta": np.zeros(c), "bn.mean": np.zeros(c), "bn.var": np.ones(c),
+              "prelu.slope": np.ones(c)}
+    return _ConvBlock(params, stride, pad_f, out_pad_f=out_pad_f, transposed=transposed)
 
 
 def conv_loop_oracle(x, w, b, s_f, pad_f):
@@ -325,16 +326,20 @@ class TestBiGruOverFrequency:
 
 
 def pointwise_block(c, gamma=None, beta=None, mean=None, var=None, slopes=None,
-                    final_tanh=False):
+                    tanh=False):
     """The live conv block with a 1x1 identity conv, so its output is its batch
     norm and activation alone; unset statistics make the batch norm the
-    identity and an unset slope makes the PReLU the identity."""
+    identity and an unset slope makes the PReLU the identity. With ``tanh``
+    the block has no PReLU slopes and ends in Tanh."""
     ones, zeros = np.ones(c), np.zeros(c)
-    return _ConvBlock(np.eye(c).reshape(c, c, 1, 1), zeros,
-                      np.full(c, np.sqrt(1.0 + BN_EPS)) if gamma is None else gamma,
-                      zeros if beta is None else beta, zeros if mean is None else mean,
-                      ones if var is None else var, ones if slopes is None else slopes,
-                      (1, 1), 0, final_tanh=final_tanh)
+    params = {"conv.w": np.eye(c).reshape(c, c, 1, 1), "conv.b": zeros,
+              "bn.gamma": np.full(c, np.sqrt(1.0 + BN_EPS)) if gamma is None else gamma,
+              "bn.beta": zeros if beta is None else beta,
+              "bn.mean": zeros if mean is None else mean,
+              "bn.var": ones if var is None else var}
+    if not tanh:
+        params["prelu.slope"] = ones if slopes is None else slopes
+    return _ConvBlock(params, (1, 1), 0)
 
 
 class TestBatchnormEval:
@@ -390,7 +395,7 @@ class TestActivations:
         assert pointwise_block(1, slopes=np.array([0.25])).forward(x)[0, 0, 0] == F32(-0.5)
 
     def test_tanh_zero_and_range(self, rng):
-        blk = pointwise_block(2, final_tanh=True)
+        blk = pointwise_block(2, tanh=True)
         assert np.all(blk.forward(np.zeros((2, 1, 1), dtype=F32)) == 0.0)
         y = blk.forward(fmap(rng, 2, 3, 4) * 50.0)
         assert np.all(y >= -1.0) and np.all(y <= 1.0)
@@ -399,7 +404,7 @@ class TestActivations:
         x = fmap(rng, 2, 3, 9)
         perm = rng.permutation(9)
         for blk in (pointwise_block(2, slopes=rng.uniform(0, 1, 2)),
-                    pointwise_block(2, final_tanh=True)):
+                    pointwise_block(2, tanh=True)):
             assert np.array_equal(blk.forward(x[:, :, perm]), blk.forward(x)[:, :, perm])
 
 

@@ -63,6 +63,21 @@ class TestPushFlush:
         assert len(out) == length
         assert state.emitted == state.consumed == length
 
+    @pytest.mark.parametrize("length", [0, 1, 100, 127, 128, 129, 300])
+    def test_stream_shorter_than_a_window(self, default_model, rng, length):
+        # no complete frame: the flush runs at most one zero-padded frame and
+        # trims its output to the input; the 1- and 7-sample chunkings of an
+        # empty input never push at all, the one push pushes it empty
+        wave = rng.uniform(-1, 1, length).astype(F32)
+        state = StreamState(default_model)
+        one_push = (np.concatenate([stream_push(state, default_model, wave),
+                                    stream_flush(state, default_model)]), state)
+        runs = [run_chunked(default_model, wave, 1), run_chunked(default_model, wave, 7), one_push]
+        for out, state in runs:
+            assert len(out) == state.consumed == length
+            assert state._ola.clamped_samples == 0
+        assert len({out.tobytes() for out, _ in runs}) == 1
+
     def test_double_flush_raises(self, default_model, rng):
         state = StreamState(default_model)
         stream_push(state, default_model, rng.uniform(-1, 1, 600).astype(F32))

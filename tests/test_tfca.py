@@ -140,8 +140,11 @@ class TestTfcaForward:
 
     def test_unknown_mode_rejected(self, rng):
         block = make_block(rng, 3)
+        x = rng.uniform(-1, 1, (3, 4, 5)).astype(F32)
         with pytest.raises(ConfigurationError):
-            block.forward(rng.uniform(-1, 1, (3, 4, 5)).astype(F32), mode="sliding")
+            block.forward(x, mode="sliding")
+        with pytest.raises(ConfigurationError, match="unknown attention mode 'bogus'"):
+            block.attentions(x, mode="bogus")
 
     def test_step_streaming_equals_batch(self, rng):
         block = make_block(rng, 4)
