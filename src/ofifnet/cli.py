@@ -41,7 +41,7 @@ from .model import (
     si_snr,
     target_mask,
 )
-from .stream import StreamState, delay_from_emissions, stream_flush, stream_push, verify_causality
+from .stream import delay_from_emissions, run_stream, verify_causality
 from .tfca import MODES
 from .weights import read_weights, write_weights
 
@@ -179,13 +179,9 @@ def cmd_stream(args) -> int:
         raise UsageError(f"--chunk-ms {args.chunk_ms} is below one sample")
     model = _load_model(args.weights, args.config)
     wave = read_wav(getattr(args, "in"))
-    state = StreamState(model)
     t0 = time.perf_counter()
-    parts = [stream_push(state, model, wave[i:i + chunk])
-             for i in range(0, len(wave), chunk)]
-    parts.append(stream_flush(state, model))
+    enhanced, state = run_stream(model, wave, chunk)
     elapsed = time.perf_counter() - t0
-    enhanced = np.concatenate(parts)
     report = delay_from_emissions(state) if args.report_latency else None
     write_wav(args.out, enhanced)
     print(f"streamed {len(wave)} samples in {chunk}-sample chunks ({elapsed:.3f} s)")

@@ -89,6 +89,8 @@ class ModelConfig:
             raise ConfigurationError("time stride must be 1")
         if self.stride[0] < 1:
             raise ConfigurationError(f"frequency stride must be >= 1, got {self.stride[0]}")
+        if self.freq_pad < 0:
+            raise ConfigurationError(f"freq_pad must be >= 0, got {self.freq_pad}")
         if not self.decoder_channels:
             raise ConfigurationError("a model needs a decoder: its last block emits the mask")
         if len(self.decoder_channels) != len(self.encoder_channels):

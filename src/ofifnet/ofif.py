@@ -26,7 +26,7 @@ F64 = np.float64
 NUM_CHANNELS = stdct.OVERLAP_FACTOR   # current frame + 3 pseudo future frames
 
 
-def make_pseudo_frames(frames: np.ndarray, hop: int = stdct.HOP_SIZE) -> np.ndarray:
+def make_pseudo_frames(frames: np.ndarray) -> np.ndarray:
     """Build the 4-frame groups [x_t, x~_{t+1}, x~_{t+2}, x~_{t+3}] of raw frames.
 
     ``frames`` is (W, n), one raw frame per column (a single (W,) frame also
@@ -35,10 +35,9 @@ def make_pseudo_frames(frames: np.ndarray, hop: int = stdct.HOP_SIZE) -> np.ndar
     bit. Pure memory movement, no arithmetic.
     """
     frames = np.asarray(frames, dtype=F32)
-    w = frames.shape[0]
-    if hop < 1 or w != NUM_CHANNELS * hop:
-        raise ConfigurationError(
-            f"frame length {w} must equal {NUM_CHANNELS} hops of {hop} samples")
+    w, hop = stdct.WINDOW_SIZE, stdct.HOP_SIZE
+    if frames.shape[0] != w:
+        raise ConfigurationError(f"frame length {frames.shape[0]} must be {w} samples")
     group = np.zeros((NUM_CHANNELS,) + frames.shape, dtype=F32)
     group[0] = frames
     for k in range(1, NUM_CHANNELS):

@@ -11,17 +11,22 @@ final only once frame floor(n/H) has been added, and that frame needs input
 through sample floor(n/H)*H + W - 1. For hop-aligned samples the wait is
 exactly one window (512 samples, 32 ms).
 
+``hop_frames`` is the only framing and ``tail_zeros`` the one trailing-frame
+rule: a push frames its buffered samples, a flush its leftover samples plus
+the tail zeros, and the whole-utterance path the wave plus the same zeros.
+
 ``OverlapAdd`` is the only synthesis: it holds one window of pending sums, so
 its memory does not grow with the signal, and each ``add`` of n frames
-returns the n hops those frames made final. A stream adds each group of up
+returns the n hops those frames made final; ``tail(count)`` returns the
+first ``count`` samples past the last hop. A stream adds each group of up
 to 32 frames a push completes; ``istdct_ola`` adds a whole spectrogram at
-once. Every sample sums its
-frames' contributions in frame order either way, so both give the same bits.
+once. Every sample sums its frames' contributions in frame order either
+way, so both give the same bits.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -39,56 +44,58 @@ ALGORITHMIC_DELAY = WINDOW_SIZE
 DENOM_FLOOR = 1e-8
 
 
-@lru_cache(maxsize=4)
-def hamming_window(n: int = WINDOW_SIZE) -> np.ndarray:
-    """Symmetric Hamming window, float64, values in (0, 1]."""
-    idx = np.arange(n, dtype=F64)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * idx / (n - 1))
+@cache
+def hamming_window() -> np.ndarray:
+    """Symmetric W-point Hamming window, float64, values in (0, 1]."""
+    idx = np.arange(WINDOW_SIZE, dtype=F64)
+    return 0.54 - 0.46 * np.cos(2.0 * np.pi * idx / (WINDOW_SIZE - 1))
 
 
-@lru_cache(maxsize=4)
-def dct_matrix(n: int = DCT_SIZE) -> np.ndarray:
-    """Orthonormal type-II cosine basis, rows indexed by bin: D @ D.T == I."""
-    k = np.arange(n, dtype=F64)[:, None]
-    m = np.arange(n, dtype=F64)[None, :]
-    d = np.cos(np.pi * (2.0 * m + 1.0) * k / (2.0 * n))
-    d *= np.sqrt(2.0 / n)
+@cache
+def dct_matrix() -> np.ndarray:
+    """Orthonormal N-point type-II cosine basis, rows indexed by bin: D @ D.T == I."""
+    k = np.arange(DCT_SIZE, dtype=F64)[:, None]
+    m = np.arange(DCT_SIZE, dtype=F64)[None, :]
+    d = np.cos(np.pi * (2.0 * m + 1.0) * k / (2.0 * DCT_SIZE))
+    d *= np.sqrt(2.0 / DCT_SIZE)
     d[0] *= np.sqrt(0.5)
     return d
 
 
-def frame_count(n_samples: int) -> int:
-    """Number of complete frames in a signal of the given length."""
-    if n_samples < WINDOW_SIZE:
-        raise SignalTooShortError(
-            f"signal of {n_samples} samples is shorter than one {WINDOW_SIZE}-sample window")
-    return 1 + (n_samples - WINDOW_SIZE) // HOP_SIZE
+def hop_frames(samples: np.ndarray) -> np.ndarray:
+    """Read-only (W, k) view of the k complete frames of a 1-D buffer; k may be 0.
 
-
-def full_frame_count(n_samples: int) -> int:
-    """Frame count once a trailing partial frame is zero-padded to full size.
-
-    This is the framing the streaming flush produces: at most one extra frame
-    beyond the complete ones, enough for every input sample to be covered.
+    Column t is ``samples[t*H:t*H + W]``; nothing is copied or padded.
     """
-    if n_samples <= 0:
+    k = max(0, (len(samples) - WINDOW_SIZE) // HOP_SIZE + 1)
+    item = samples.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        samples, (WINDOW_SIZE, k), (item, HOP_SIZE * item), writeable=False)
+
+
+def tail_zeros(n_samples: int) -> int:
+    """Zeros that complete the frame covering sample n - 1 of an n-sample signal,
+    or 0 when the complete frames already cover every sample."""
+    if n_samples == 0:
         return 0
     if n_samples < WINDOW_SIZE:
-        return 1
-    t_full = frame_count(n_samples)
-    leftover = n_samples - ((t_full - 1) * HOP_SIZE + WINDOW_SIZE)
-    return t_full + (1 if leftover > 0 else 0)
+        return WINDOW_SIZE - n_samples
+    return (WINDOW_SIZE - n_samples) % HOP_SIZE
 
 
 def frame_signal(wave: np.ndarray, *, windowed: bool = True) -> np.ndarray:
-    """Slice a waveform into hop-spaced frames, columns ordered by time.
+    """Slice a waveform into its complete hop-spaced frames, columns ordered by time.
 
     Returns (W, T) float32 with T = 1 + floor((len - W) / H). Frame t covers
-    samples t*H .. t*H + W - 1 only; nothing is pre-padded. When ``windowed``,
-    each frame is multiplied by the Hamming window.
+    samples t*H .. t*H + W - 1 only; nothing is padded. When ``windowed``,
+    each frame is multiplied by the Hamming window; otherwise the result is
+    a read-only view of the waveform.
     """
     wave = np.asarray(wave, dtype=F32).ravel()
-    frames = frame_signal_full(wave)[:, :frame_count(len(wave))]
+    if len(wave) < WINDOW_SIZE:
+        raise SignalTooShortError(
+            f"signal of {len(wave)} samples is shorter than one {WINDOW_SIZE}-sample window")
+    frames = hop_frames(wave)
     if windowed:
         frames = (hamming_window()[:, None] * frames.astype(F64)).astype(F32)
     return frames
@@ -97,17 +104,11 @@ def frame_signal(wave: np.ndarray, *, windowed: bool = True) -> np.ndarray:
 def frame_signal_full(wave: np.ndarray) -> np.ndarray:
     """Raw (unwindowed) frames covering every sample; final frame zero-padded.
 
-    Matches the framing a stream produces after flush: same frame starts, same
-    zero fill on the trailing partial frame.
+    The waveform plus its ``tail_zeros``: the framing a flushed stream runs,
+    with the same frame starts and the same zero fill.
     """
     wave = np.asarray(wave, dtype=F32).ravel()
-    t_dim = full_frame_count(len(wave))
-    if t_dim == 0:
-        return np.zeros((WINDOW_SIZE, 0), dtype=F32)
-    padded = np.zeros((t_dim - 1) * HOP_SIZE + WINDOW_SIZE, dtype=F32)
-    padded[:len(wave)] = wave
-    idx = np.arange(WINDOW_SIZE)[:, None] + HOP_SIZE * np.arange(t_dim)[None, :]
-    return padded[idx]
+    return hop_frames(np.concatenate([wave, np.zeros(tail_zeros(len(wave)), dtype=F32)]))
 
 
 def dct_frames(frames: np.ndarray) -> np.ndarray:
@@ -165,16 +166,17 @@ class OverlapAdd:
                 buf[-HOP_SIZE:] = 0.0
         return out
 
-    def tail(self) -> np.ndarray:
-        """The W - H samples the last frame covers beyond its final hop."""
-        return self._final(WINDOW_SIZE - HOP_SIZE)
+    def tail(self, count: int) -> np.ndarray:
+        """The first ``count`` (at most W - H) samples the last frame covers past its final hop."""
+        return self._final(count)
 
 
 def istdct_ola(spec: np.ndarray, out_len: int) -> np.ndarray:
     """Overlap-add synthesis of a (512, T) spectrum to ``out_len`` samples.
 
-    One ``OverlapAdd`` takes all T frames, then its tail; ``out_len`` may be
-    anything up to the (T - 1)*H + W samples the frames cover.
+    One ``OverlapAdd`` takes all T frames, then as much of its tail as
+    ``out_len`` still needs; ``out_len`` may be anything up to the
+    (T - 1)*H + W samples the frames cover.
     """
     spec = np.asarray(spec, dtype=F32)
     if spec.ndim != 2 or spec.shape[0] != DCT_SIZE:
@@ -187,4 +189,4 @@ def istdct_ola(spec: np.ndarray, out_len: int) -> np.ndarray:
         raise ConfigurationError(
             f"out_len {out_len} exceeds the {cover} samples covered by {t_dim} frames")
     ola = OverlapAdd()
-    return np.concatenate([ola.add(spec), ola.tail()])[:out_len]
+    return np.concatenate([ola.add(spec), ola.tail(max(0, out_len - t_dim * HOP_SIZE))])[:out_len]

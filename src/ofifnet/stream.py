@@ -7,6 +7,9 @@ floor(n/H) has been added, which requires floor(n/H)*H + W consumed samples.
 Emission is therefore monotone, emitted samples never change, and the
 worst-case (hop-aligned) emission latency is exactly one window.
 
+A push frames its buffered samples with ``stdct.hop_frames``, and the flush
+frames the samples left over plus ``stdct.tail_zeros`` zeros the same way,
+so a flushed stream runs exactly the frames of ``stdct.frame_signal_full``.
 A push processes the frames it completes in groups of at most
 ``nn.FRAMES_PER_PASS`` (32) frames. Each group runs the same three stages as
 the whole-utterance forward: the analysis ``ofif_stack_frames`` on the
@@ -95,7 +98,7 @@ class StreamState:
         """
         return step_frames(block, x, self._block_states[block], 1)
 
-    def _process(self, raw: np.ndarray, during_flush: bool = False) -> np.ndarray:
+    def _process(self, raw: np.ndarray) -> np.ndarray:
         """Run the k frames of a (W, k) raw frame matrix in groups of at most
         ``FRAMES_PER_PASS``, their mask kept in ``last_mask``; returns the k
         hops they made final."""
@@ -103,18 +106,12 @@ class StreamState:
         out = np.empty(k * HOP, dtype=F32)
         self.last_mask = np.empty((stdct.DCT_SIZE, k), dtype=F32)
         for g0 in range(0, k, FRAMES_PER_PASS):
-            t = self.frame_index
             spec4 = ofif_stack_frames(raw[:, g0:g0 + FRAMES_PER_PASS])    # (4, 512, g)
             g = spec4.shape[2]
             self.frame_index += g
             mask = self.model.walk(spec4, self._run_block)
             self.last_mask[:, g0:g0 + g] = mask
             out[g0 * HOP:(g0 + g) * HOP] = self._ola.add(mask * spec4[0])
-            if not during_flush:
-                # the group's first frame waited longest for its input
-                self.max_latency = max(self.max_latency, self.consumed - t * HOP)
-                if self.first_emission_consumed is None:
-                    self.first_emission_consumed = self.consumed
             self.emitted += g * HOP
         return out
 
@@ -141,12 +138,15 @@ def stream_push(state: StreamState, model, chunk: np.ndarray) -> np.ndarray:
     check_finite(chunk)
     buf = state._buf = np.concatenate([state._buf, chunk])
     state.consumed += len(chunk)
-    k = max(0, (len(buf) - WINDOW) // HOP + 1)
-    # frame j of this push is buf[j * HOP:j * HOP + WINDOW], column j of one view
-    item = buf.strides[0]
-    out = state._process(np.lib.stride_tricks.as_strided(
-        buf, (WINDOW, k), (item, HOP * item), writeable=False))
-    state._buf = buf[k * HOP:]
+    first = state.frame_index
+    raw = stdct.hop_frames(buf)
+    out = state._process(raw)
+    state._buf = buf[raw.shape[1] * HOP:]
+    if raw.shape[1]:
+        # the push's first frame waited longest for its input
+        state.max_latency = max(state.max_latency, state.consumed - first * HOP)
+        if state.first_emission_consumed is None:
+            state.first_emission_consumed = state.consumed
     if log.isEnabledFor(logging.DEBUG):
         log.debug("push %d samples: consumed=%d emitted=%d frames=%d",
                   len(chunk), state.consumed, state.emitted, state.frame_index)
@@ -154,7 +154,7 @@ def stream_push(state: StreamState, model, chunk: np.ndarray) -> np.ndarray:
 
 
 def stream_flush(state: StreamState, model) -> np.ndarray:
-    """Close the stream: zero-pad a trailing partial frame, drain the tail.
+    """Close the stream: run the frame its tail zeros complete, drain what is owed.
 
     After the flush the total emitted sample count equals the total consumed
     count. A second flush raises.
@@ -163,18 +163,12 @@ def stream_flush(state: StreamState, model) -> np.ndarray:
     if state.closed:
         raise StreamClosedError("stream already flushed")
     state.closed = True
-    total = state.consumed
-    # any samples past the last complete frame need one zero-padded extra frame
-    covered = (state.frame_index - 1) * HOP + WINDOW if state.frame_index else 0
-    raw = np.zeros((WINDOW, int(total > covered)), dtype=F32)
-    raw[:len(state._buf)] = state._buf[:, None]
-    out = state._process(raw, during_flush=True)
-    if state.emitted < total:
-        out = np.concatenate([out, state._ola.tail()[:total - state.emitted]])
-    else:
-        # a flush frame of an input shorter than one hop emits past its end
-        out = out[:total - state.emitted + len(out)]
-    state.emitted = total
+    owed = state.consumed - state.emitted
+    tail = np.zeros(stdct.tail_zeros(state.consumed), dtype=F32)
+    out = state._process(stdct.hop_frames(np.concatenate([state._buf, tail])))
+    # a flush frame of an input shorter than one hop emits past its end
+    out = np.concatenate([out, state._ola.tail(max(0, state.consumed - state.emitted))])[:owed]
+    state.emitted = state.consumed
     log.info("flush: consumed=%d emitted=%d frames=%d clamped=%d",
              state.consumed, state.emitted, state.frame_index, state._ola.clamped_samples)
     return out
@@ -196,7 +190,8 @@ class DelayReport:
         return 1000.0 * self.structural_latency / stdct.SAMPLE_RATE
 
 
-def _run_stream(model, wave: np.ndarray, chunk: int):
+def run_stream(model, wave: np.ndarray, chunk: int):
+    """Push ``wave`` in ``chunk``-sample pieces, then flush: (output, state)."""
     state = StreamState(model)
     outs = []
     for i in range(0, len(wave), chunk):
@@ -222,7 +217,7 @@ def measure_delay(model, num_samples: int = 4 * WINDOW, chunk: int = HOP) -> Del
     """
     rng = np.random.default_rng(0)
     wave = rng.uniform(-1.0, 1.0, num_samples).astype(F32)
-    _, state = _run_stream(model, wave, chunk)
+    _, state = run_stream(model, wave, chunk)
     return delay_from_emissions(state)
 
 
@@ -262,8 +257,8 @@ def verify_causality(model, seed: int, split_sample: int, num_samples: int = 131
     alt[split_sample:] = rng.uniform(-1.0, 1.0, num_samples - split_sample).astype(F32)
     latency = None
     if mode == "cumulative":
-        out_a, st_a = _run_stream(model, base, chunk)
-        out_b, st_b = _run_stream(model, alt, chunk)
+        out_a, st_a = run_stream(model, base, chunk)
+        out_b, st_b = run_stream(model, alt, chunk)
         latency = delay_from_emissions(st_a)
     else:
         out_a, _ = model.forward(base, mode=mode)

@@ -347,7 +347,9 @@ class TestWeightsTooling:
         assert "total parameters:" in out and "module enc:" in out
 
     @pytest.mark.parametrize("field", [{"kernel": [5, 0]}, {"stride": [0, 1]},
-                                       {"kernel": [5]}, {"encoder_channels": 5}])
+                                       {"kernel": [5]}, {"encoder_channels": 5},
+                                       {"encoder_channels": [2, 2], "decoder_channels": [2, 1],
+                                        "tfsm_hidden": [4], "freq_pad": -2}])
     def test_degenerate_kernel_or_stride_config_exit_3(self, tmp_path, capsys, field):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(field))

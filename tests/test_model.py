@@ -123,6 +123,15 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ModelConfig(freq_out_pad=0)
 
+    @pytest.mark.parametrize("fields", [
+        dict(stride=(1, 1), freq_pad=-1, freq_out_pad=0),
+        dict(encoder_channels=(2, 2), decoder_channels=(2, 1), tfsm_hidden=(4,), freq_pad=-2)])
+    def test_negative_freq_pad_rejected(self, fields):
+        # both ladders still mirror, so only the sign check stops the forward
+        # from failing later inside the conv kernel
+        with pytest.raises(ConfigurationError, match="freq_pad must be >= 0, got -"):
+            ModelConfig(**fields)
+
     @pytest.mark.parametrize("field, message", [
         ({"pool_window": 0}, "pooling window must be >= 1"),
         ({"stride": (2, 2)}, "time stride must be 1"),

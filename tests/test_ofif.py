@@ -13,19 +13,22 @@ F32 = np.float32
 
 class TestMakePseudoFrames:
 
-    def test_worked_example_w8_h2(self):
-        group = make_pseudo_frames(np.array([1, 2, 3, 4, 5, 6, 7, 8], dtype=F32), hop=2)
-        np.testing.assert_array_equal(group[0], [1, 2, 3, 4, 5, 6, 7, 8])
-        np.testing.assert_array_equal(group[1], [3, 4, 5, 6, 7, 8, 0, 0])
-        np.testing.assert_array_equal(group[2], [5, 6, 7, 8, 0, 0, 0, 0])
-        np.testing.assert_array_equal(group[3], [7, 8, 0, 0, 0, 0, 0, 0])
+    def test_worked_example_one_frame(self):
+        # samples 1..512: member k starts at sample k*128 + 1, zero after 512
+        frame = np.arange(1, WINDOW_SIZE + 1, dtype=F32)
+        group = make_pseudo_frames(frame)
+        assert group.shape == (4, WINDOW_SIZE)
+        for k in range(4):
+            expect = np.zeros(WINDOW_SIZE, dtype=F32)
+            expect[:WINDOW_SIZE - k * HOP_SIZE] = np.arange(k * HOP_SIZE + 1, WINDOW_SIZE + 1)
+            np.testing.assert_array_equal(group[k], expect)
 
     def test_zero_frame_zero_group(self):
         assert np.all(make_pseudo_frames(np.zeros(WINDOW_SIZE, dtype=F32)) == 0.0)
 
     def test_bad_window_multiple_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_pseudo_frames(np.zeros(510, dtype=F32), hop=128)
+            make_pseudo_frames(np.zeros(510, dtype=F32))
 
     def test_support_identity_against_true_future_frames(self, rng):
         # each pseudo frame must equal the real frame k hops ahead on its

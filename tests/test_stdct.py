@@ -11,13 +11,13 @@ from ofifnet.stdct import (
     WINDOW_SIZE,
     dct_frames,
     dct_matrix,
-    frame_count,
     frame_signal,
     frame_signal_full,
-    full_frame_count,
     hamming_window,
+    hop_frames,
     istdct_ola,
     stdct,
+    tail_zeros,
 )
 
 F32 = np.float32
@@ -26,9 +26,19 @@ F32 = np.float32
 class TestFraming:
 
     def test_frame_counts(self):
-        assert frame_count(512) == 1
-        assert frame_count(512 + 128) == 2
-        assert frame_count(16000) == 122
+        for length, frames in [(512, 1), (512 + 128, 2), (16000, 122), (16000 + 127, 122)]:
+            wave = np.zeros(length, dtype=F32)
+            assert frame_signal(wave).shape == (512, frames)
+            assert frame_signal(wave, windowed=False).shape == (512, frames)
+
+    def test_hop_frames_read_only_view(self, rng):
+        buf = rng.uniform(-1, 1, 1000).astype(F32)
+        view = hop_frames(buf)
+        assert view.shape == (512, 4) and not view.flags.writeable
+        assert np.shares_memory(view, buf)
+        np.testing.assert_array_equal(view[:, 3], buf[384:896])
+        assert hop_frames(buf[:511]).shape == (512, 0)
+        assert hop_frames(np.zeros(0, dtype=F32)).shape == (512, 0)
 
     def test_too_short_rejected(self):
         with pytest.raises(SignalTooShortError):
@@ -51,12 +61,15 @@ class TestFraming:
         win = hamming_window()
         assert win.min() > 0.0 and win.max() <= 1.0
 
+    # length, zeros completing the last frame, frames once padded
+    @pytest.mark.parametrize("length, zeros, frames", [
+        (0, 0, 0), (1, 511, 1), (100, 412, 1), (512, 0, 1), (513, 127, 2), (639, 1, 2),
+        (640, 0, 2), (641, 127, 3), (16000, 0, 122), (16001, 127, 123)])
+    def test_full_framing_counts(self, length, zeros, frames):
+        assert tail_zeros(length) == zeros
+        assert frame_signal_full(np.ones(length, dtype=F32)).shape == (512, frames)
+
     def test_full_framing_padded_tail(self):
-        assert full_frame_count(0) == 0
-        assert full_frame_count(100) == 1
-        assert full_frame_count(512) == 1
-        assert full_frame_count(513) == 2
-        assert full_frame_count(16000) == 122
         # 700 samples: complete frames at offsets 0 and 128, then a 60-sample
         # tail covered by one zero-padded frame at offset 256
         raw = frame_signal_full(np.ones(700, dtype=F32))
@@ -145,15 +158,28 @@ class TestIstdctOla:
     def test_hamming_never_clamps(self, rng):
         ola = OverlapAdd()
         ola.add(rng.uniform(-1, 1, (512, 4)).astype(F32))
-        ola.tail()
+        ola.tail(WINDOW_SIZE - HOP_SIZE)
         assert ola.clamped_samples == 0
+
+    @pytest.mark.parametrize("count", [0, 1, 200, WINDOW_SIZE - HOP_SIZE])
+    def test_tail_returns_and_counts_only_what_is_asked(self, rng, count):
+        spec = rng.uniform(-1, 1, (512, 3)).astype(F32)
+        whole, part = OverlapAdd(), OverlapAdd()
+        whole.add(spec)
+        part.add(spec)
+        got = part.tail(count)
+        assert len(got) == count
+        assert got.tobytes() == whole.tail(WINDOW_SIZE - HOP_SIZE)[:count].tobytes()
+        # no frame covers any sample of a fresh buffer: each sample read is one clamp
+        empty = OverlapAdd()
+        assert len(empty.tail(count)) == count and empty.clamped_samples == count
 
     # 0, inside the last frame's own hop, inside the tail, all 1536 covered samples
     @pytest.mark.parametrize("out_len", [0, 9 * HOP_SIZE - 37, 1300, 8 * HOP_SIZE + WINDOW_SIZE])
     def test_equals_frame_by_frame_adds(self, rng, out_len):
         spec = rng.uniform(-1, 1, (512, 9)).astype(F32)
         ola = OverlapAdd()
-        parts = [ola.add(spec[:, t:t + 1]) for t in range(9)] + [ola.tail()]
+        parts = [ola.add(spec[:, t:t + 1]) for t in range(9)] + [ola.tail(WINDOW_SIZE - HOP_SIZE)]
         assert all(len(p) == HOP_SIZE for p in parts[:-1])
         assert istdct_ola(spec, out_len).tobytes() == np.concatenate(parts)[:out_len].tobytes()
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ofifnet import stream as stream_module
 from ofifnet.errors import (ConfigurationError, EngineError, NonFiniteInputError,
                             SignalTooShortError, StreamClosedError)
 from ofifnet.model import Model
-from ofifnet.stdct import HOP_SIZE, WINDOW_SIZE
+from ofifnet.stdct import HOP_SIZE, WINDOW_SIZE, frame_signal_full
 from ofifnet.stream import (
     StreamState,
     delay_from_emissions,
@@ -226,6 +227,28 @@ class TestChunkingInvariance:
         seen.append(stream_flush(state, default_model))
         full, _ = run_chunked(default_model, wave, len(wave))
         assert np.concatenate(seen).tobytes() == full.tobytes()
+
+    # on both sides of the boundaries where a trailing padded frame appears
+    @pytest.mark.parametrize("length", [512, 513, 639, 640, 641, 700, 767, 768, 769, 1000])
+    def test_flushed_stream_frames_are_the_full_framing(self, default_model, rng, monkeypatch,
+                                                        length):
+        wave = rng.uniform(-1, 1, length).astype(F32)
+        full = frame_signal_full(wave)
+        analysis = stream_module.ofif_stack_frames
+        for chunk in (100, length):
+            seen = []
+
+            def record(raw):
+                seen.append(np.array(raw))
+                return analysis(raw)
+            with monkeypatch.context() as patch:
+                patch.setattr(stream_module, "ofif_stack_frames", record)
+                run_chunked(default_model, wave, chunk)
+            frames = np.concatenate(seen, axis=1)
+            assert frames.shape == full.shape and frames.tobytes() == full.tobytes(), chunk
+        for mode in ("cumulative", "offline"):
+            _, mask = default_model.forward(wave, mode=mode)
+            assert mask.shape == (512, full.shape[1]), mode
 
 
 class TestGroupedPushes:
