@@ -41,7 +41,7 @@ from .model import (
     si_snr,
     target_mask,
 )
-from .stream import delay_from_emissions, run_stream, verify_causality
+from .stream import check_finite, delay_from_emissions, run_stream, verify_causality
 from .tfca import MODES
 from .weights import read_weights, write_weights
 
@@ -259,6 +259,11 @@ def cmd_weights(args) -> int:
 def cmd_metrics(args) -> int:
     est = read_wav(args.est)
     ref = read_wav(args.ref)
+    for path, wave in ((args.est, est), (args.ref, ref)):
+        try:
+            check_finite(wave)
+        except NonFiniteInputError as exc:
+            raise NonFiniteInputError(f"{path}: {exc}") from None
     if len(est) != len(ref):
         raise UndefinedMetricError(
             f"length mismatch: {args.est} has {len(est)} samples, {args.ref} has {len(ref)}")

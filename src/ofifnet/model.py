@@ -16,9 +16,12 @@ own method). Both split frames through ``nn.step_frames``.
 
 ``Model.forward`` takes the attention mode per call.
 
-``ModelConfig`` holds only what a weight file can vary; the input's 4
-channels (``ofif.NUM_CHANNELS``) and 512 bins (``stdct.DCT_SIZE``) are fixed
-by the analysis. Weight tensors live in a flat name -> array mapping with
+``ModelConfig`` holds only what a weight file can vary, the encoder's
+channels and the recurrent blocks' hidden sizes; the decoder mirrors the
+encoder. The input's 4 channels (``ofif.NUM_CHANNELS``) and 512 bins
+(``stdct.DCT_SIZE``) are fixed by the analysis, the conv geometry
+(``KERNEL`` ...) and the pooling window by the paper's network. Weight
+tensors live in a flat name -> array mapping with
 canonical dotted paths (``enc.0.conv.w`` ...): a block's prefix, then a name
 from the tensor table of the module that owns the block (``_conv_layout``
 here, ``tfsm.TFSM_PARAM_SHAPES``, ``tfca.TFCA_PARAM_SHAPES``). The block
@@ -59,10 +62,21 @@ SI_SNR_CAP_DB = 120.0
 MASK_EPS = 1e-8
 
 
-#: sidecar keys of settings the engine derives or takes per call, each
-#: accepted only at the value the engine runs, so older sidecars still load
+#: every conv block's 5 x 2 (frequency x time) kernel at stride 2 x 1, a conv
+#: halving the bins and a deconv doubling them; the attention's pooling frames
+KERNEL = (5, 2)
+FREQ_STRIDE = 2
+FREQ_PAD = 2
+FREQ_OUT_PAD = 1
+POOL_WINDOW = 15
+
+#: sidecar keys of settings the engine fixes or takes per call, each accepted
+#: only at the value the engine runs, so older sidecars still load; so is
+#: ``decoder_channels``, at the encoder's mirror
 RETIRED_KEYS = {"in_channels": ofif.NUM_CHANNELS, "freq_bins": stdct.DCT_SIZE,
-                "fuse_attention": True, "attention_mode": "cumulative"}
+                "fuse_attention": True, "attention_mode": "cumulative",
+                "kernel": KERNEL, "stride": (FREQ_STRIDE, 1), "freq_pad": FREQ_PAD,
+                "freq_out_pad": FREQ_OUT_PAD, "pool_window": POOL_WINDOW}
 
 
 @dataclass(frozen=True)
@@ -70,53 +84,32 @@ class ModelConfig:
     """What a weight file can vary; the default values are the deployed setup."""
 
     encoder_channels: tuple[int, ...] = (16, 32, 64, 128, 128)
-    decoder_channels: tuple[int, ...] = (128, 64, 32, 16, 1)
-    kernel: tuple[int, int] = (5, 2)
-    stride: tuple[int, int] = (2, 1)
-    freq_pad: int = 2
-    freq_out_pad: int = 1
     tfsm_hidden: tuple[int, ...] = (128, 64, 32)
-    pool_window: int = 15
 
     def __post_init__(self):
-        if self.pool_window < 1:
-            raise ConfigurationError("pooling window must be >= 1")
-        if min(self.encoder_channels + self.decoder_channels + self.tfsm_hidden, default=1) < 1:
+        if not self.encoder_channels:
+            raise ConfigurationError("a model needs an encoder block: the decoder mirrors it")
+        if min(self.encoder_channels + self.tfsm_hidden) < 1:
             raise ConfigurationError("channel counts and hidden sizes must be >= 1")
-        if min(self.kernel) < 1:
-            raise ConfigurationError(f"kernel sizes must be >= 1, got {list(self.kernel)}")
-        if self.stride[1] != 1:
-            raise ConfigurationError("time stride must be 1")
-        if self.stride[0] < 1:
-            raise ConfigurationError(f"frequency stride must be >= 1, got {self.stride[0]}")
-        if self.freq_pad < 0:
-            raise ConfigurationError(f"freq_pad must be >= 0, got {self.freq_pad}")
-        if not self.decoder_channels:
-            raise ConfigurationError("a model needs a decoder: its last block emits the mask")
-        if len(self.decoder_channels) != len(self.encoder_channels):
-            raise ConfigurationError("decoder must mirror the encoder block for block")
-        if self.decoder_channels[-1] != 1:
-            raise ConfigurationError("last decoder block must emit a single mask channel")
-        self.encoder_freqs()  # raises if any stage collapses
+        self.encoder_freqs()  # raises if the decoder misses the analysis size
+
+    @property
+    def decoder_channels(self) -> tuple[int, ...]:
+        """The encoder's channels mirrored, the last block emitting the one mask channel."""
+        return (*self.encoder_channels[-2::-1], 1)
 
     def encoder_freqs(self) -> list[int]:
         """Frequency sizes entering each encoder block, plus the bottleneck size."""
         freqs = [stdct.DCT_SIZE]
         for _ in self.encoder_channels:
-            nxt = conv2d_out_freq(freqs[-1], self.kernel[0], self.stride[0], self.freq_pad)
-            if nxt < 1:
-                raise ConfigurationError("encoder collapses the frequency axis to nothing")
-            freqs.append(nxt)
+            freqs.append(conv2d_out_freq(freqs[-1], KERNEL[0], FREQ_STRIDE, FREQ_PAD))
         f = freqs[-1]
-        for _ in self.decoder_channels:
-            f = deconv2d_out_freq(f, self.kernel[0], self.stride[0],
-                                  self.freq_pad, self.freq_out_pad)
-            if f < 1:
-                raise ConfigurationError("decoder collapses the frequency axis to nothing")
+        for _ in self.encoder_channels:
+            f = deconv2d_out_freq(f, KERNEL[0], FREQ_STRIDE, FREQ_PAD, FREQ_OUT_PAD)
         if f != stdct.DCT_SIZE:
             raise ConfigurationError(
                 f"decoder returns {f} frequency bins instead of {stdct.DCT_SIZE}; "
-                "adjust padding so the ladders mirror")
+                "use fewer encoder blocks")
         return freqs
 
     def to_json(self) -> str:
@@ -131,34 +124,28 @@ class ModelConfig:
         if not isinstance(data, dict):
             raise ConfigurationError("config must be a JSON object")
         for key, runs in RETIRED_KEYS.items():
-            value = data.pop(key, runs)
-            if type(value) is not type(runs) or value != runs:
-                hint = ("drop it and choose the mode per call, as --mode offline"
-                        if key == "attention_mode" else f"the engine runs only {json.dumps(runs)}")
-                raise ConfigurationError(
-                    f"retired config field {key!r} is {json.dumps(value)}: {hint}")
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(data) - known
+            _check_retired(key, data.pop(key, runs), runs)
+        sizes = {key: data.pop(key) for key in cls.__dataclass_fields__ if key in data}
+        unknown = set(data) - {"decoder_channels"}
         if unknown:
             raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-        for key, value in data.items():
-            data[key] = _sidecar_value(key, value, getattr(cls, key))
-        return cls(**data)
+        for key, value in sizes.items():
+            if not (isinstance(value, list) and all(type(v) is int for v in value)):
+                raise ConfigurationError(
+                    f"config field {key!r} must be a list of integers, got {json.dumps(value)}")
+        config = cls(**{key: tuple(value) for key, value in sizes.items()})
+        mirror = config.decoder_channels
+        _check_retired("decoder_channels", data.get("decoder_channels", mirror), mirror)
+        return config
 
 
-def _sidecar_value(key: str, value, default):
-    """A sidecar field of its default's JSON type, lists as tuples."""
-    if isinstance(default, int):
-        if type(value) is int:              # JSON true and false load as bool, an int
-            return value
-        want = "an integer"
-    else:
-        arity = len(default) if key in ("kernel", "stride") else None
-        if isinstance(value, list) and all(type(v) is int for v in value) \
-                and arity in (None, len(value)):
-            return tuple(value)
-        want = f"a list of {arity or 'any number of'} integers"
-    raise ConfigurationError(f"config field {key!r} must be {want}, got {json.dumps(value)}")
+def _check_retired(key: str, value, runs) -> None:
+    """Reject a retired sidecar field unless it holds the value the engine runs,
+    compared as JSON text: 4.0 is not 4, true is not 1."""
+    if json.dumps(value) != json.dumps(runs):
+        hint = ("drop it and choose the mode per call, as --mode offline"
+                if key == "attention_mode" else f"the engine runs only {json.dumps(runs)}")
+        raise ConfigurationError(f"retired config field {key!r} is {json.dumps(value)}: {hint}")
 
 
 DEFAULT_CONFIG = ModelConfig()
@@ -189,16 +176,15 @@ def _block_plan(config: ModelConfig):
     it ends in Tanh.
     """
     enc, dec = config.encoder_channels, config.decoder_channels
-    k = config.kernel
-    conv = partial(_ConvBlock, stride=config.stride, pad_f=config.freq_pad)
+    conv = partial(_ConvBlock, stride=(FREQ_STRIDE, 1), pad_f=FREQ_PAD)
 
     def tfca(prefix, c):
         return (prefix, {n: shape_of(c) for n, shape_of in TFCA_PARAM_SHAPES},
-                partial(TfcaBlock, c, config.pool_window))
+                partial(TfcaBlock, c, POOL_WINDOW))
 
     yield tfca("fuse", ofif.NUM_CHANNELS)
     for i, (c_in, c) in enumerate(zip((ofif.NUM_CHANNELS, *enc), enc)):
-        yield f"enc.{i}", _conv_layout((c, c_in, *k), c), conv
+        yield f"enc.{i}", _conv_layout((c, c_in, *KERNEL), c), conv
     for j, h in enumerate(config.tfsm_hidden):
         yield (f"tfsm.{j}", {n: shape_of(enc[-1], h) for n, shape_of in TFSM_PARAM_SHAPES},
                partial(TfsmBlock, enc[-1], h))
@@ -206,8 +192,8 @@ def _block_plan(config: ModelConfig):
         yield tfca(f"skip.{i}", c)
     for j, (d_in, c) in enumerate(zip((enc[-1], *dec), dec)):
         last = j == len(dec) - 1
-        yield (f"dec.{j}", _conv_layout((d_in + enc[-1 - j], c, *k), c, tanh=last),
-               partial(conv, out_pad_f=config.freq_out_pad, transposed=True))
+        yield (f"dec.{j}", _conv_layout((d_in + enc[-1 - j], c, *KERNEL), c, tanh=last),
+               partial(conv, out_pad_f=FREQ_OUT_PAD, transposed=True))
         if not last:
             yield tfca(f"dectfca.{j}", c)
 

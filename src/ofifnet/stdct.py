@@ -48,7 +48,9 @@ DENOM_FLOOR = 1e-8
 def hamming_window() -> np.ndarray:
     """Symmetric W-point Hamming window, float64, values in (0, 1]."""
     idx = np.arange(WINDOW_SIZE, dtype=F64)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * idx / (WINDOW_SIZE - 1))
+    w = 0.54 - 0.46 * np.cos(2.0 * np.pi * idx / (WINDOW_SIZE - 1))
+    w.setflags(write=False)         # cached: a caller's write would reach every later call
+    return w
 
 
 @cache
@@ -59,6 +61,7 @@ def dct_matrix() -> np.ndarray:
     d = np.cos(np.pi * (2.0 * m + 1.0) * k / (2.0 * DCT_SIZE))
     d *= np.sqrt(2.0 / DCT_SIZE)
     d[0] *= np.sqrt(0.5)
+    d.setflags(write=False)         # cached, as the window
     return d
 
 

@@ -18,9 +18,7 @@ from ofifnet.weights import read_weights, write_weights
 F32 = np.float32
 
 # full pipeline with skinny channels: cheap weights, same frequency geometry
-TEST_CONFIG = ModelConfig(encoder_channels=(2, 2, 2, 2, 2),
-                          decoder_channels=(2, 2, 2, 2, 1),
-                          tfsm_hidden=(2,))
+TEST_CONFIG = ModelConfig(encoder_channels=(2, 2, 2, 2, 2), tfsm_hidden=(2,))
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +398,20 @@ class TestMetrics:
         assert "si-snr: 120.0000 dB" in out
         loss = float(out.split("loss:")[1].strip())
         assert loss > 0.0
+
+    @pytest.mark.parametrize("flag, bad", [("--est", np.nan), ("--ref", np.inf)])
+    def test_non_finite_sample_exit_2(self, workdir, tmp_path, capsys, flag, bad):
+        wave = workdir["wave"].copy()
+        wave[700] = bad
+        path = tmp_path / "bad.wav"
+        write_wav(path, wave)
+        files = {"--est": workdir["in"], "--ref": workdir["in"], flag: str(path)}
+        rc = main(["metrics", *(arg for pair in files.items() for arg in pair)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"ERR:input:{path}:") and "index 700" in err
+        assert len(err.splitlines()) == 1
 
     def test_length_mismatch_rejected(self, workdir, tmp_path, capsys):
         short = tmp_path / "short.wav"

@@ -1,5 +1,6 @@
 """Model assembly, parameter accounting, forward contracts, objective functions."""
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -62,11 +63,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("in_channels", 2), ("in_channels", 4.0), ("freq_bins", 1024),
-        ("fuse_attention", False), ("fuse_attention", 1), ("attention_mode", "bogus")])
+        ("fuse_attention", False), ("fuse_attention", 1), ("attention_mode", "bogus"),
+        ("kernel", [5, 2.0]), ("stride", [2, True]), ("pool_window", 0), ("stride", [2, 2]),
+        ("decoder_channels", [128, 64, 32, 16, 2])])
     def test_retired_key_at_other_value_rejected(self, key, value):
+        # compared by JSON text: 4.0 is not 4, 1 is not true, [2, true] is not [2, 1]
         data = json.loads(SIDECAR_WITH_RETIRED_KEYS)
         data[key] = value
-        with pytest.raises(ConfigurationError, match=key):
+        with pytest.raises(ConfigurationError, match=f"retired config field '{key}'"):
             ModelConfig.from_json(json.dumps(data))
 
     def test_retired_offline_mode_points_to_flag(self):
@@ -82,7 +86,7 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="freq_bins"):
             ModelConfig.from_json(json.dumps(data))
         del data["freq_bins"]
-        with pytest.raises(ConfigurationError, match="frequency bins"):
+        with pytest.raises(ConfigurationError, match="returns 1024 frequency bins"):
             ModelConfig.from_json(json.dumps(data))
 
     def test_non_object_rejected(self):
@@ -99,72 +103,94 @@ class TestConfig:
         ("decoder_channels", None), ("pool_window", "15"), ("pool_window", True),
         ("freq_pad", 2.0)])
     def test_malformed_field_rejected(self, key, value):
-        with pytest.raises(ConfigurationError, match=f"config field '{key}' must be"):
+        # a field is a list of integers; a retired key, fixed or derived, is
+        # refused unless it holds the engine's value
+        want = "must be" if key in ("encoder_channels", "tfsm_hidden") else "is"
+        with pytest.raises(ConfigurationError, match=f"config field '{key}' {want}"):
             ModelConfig.from_json(json.dumps({key: value}))
 
     def test_negative_channel_count_rejected(self):
-        with pytest.raises(ConfigurationError, match="channel counts"):
-            ModelConfig.from_json(json.dumps({"decoder_channels": [128, 64, 32, -16, 1]}))
+        for field in ({"encoder_channels": [16, 32, -64, 128, 128]}, {"tfsm_hidden": [0]}):
+            with pytest.raises(ConfigurationError, match="channel counts"):
+                ModelConfig.from_json(json.dumps(field))
 
     def test_mismatched_decoder_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ModelConfig(encoder_channels=(4, 8), decoder_channels=(8, 4, 1))
+        # the decoder is derived: a sidecar's must be the mirror of its encoder
+        sidecar = {"encoder_channels": [4, 8], "decoder_channels": [8, 4, 1]}
+        with pytest.raises(ConfigurationError, match=r"'decoder_channels'.*only \[4, 1\]"):
+            ModelConfig.from_json(json.dumps(sidecar))
 
     @pytest.mark.parametrize("kernel", [(5, 0), (0, 2)])
     def test_kernel_size_below_one_rejected(self, kernel):
-        with pytest.raises(ConfigurationError, match="kernel sizes must be >= 1"):
+        with pytest.raises(ConfigurationError, match=r"'kernel'.*only \[5, 2\]"):
             ModelConfig.from_json(json.dumps({"kernel": list(kernel)}))
 
     def test_frequency_stride_below_one_rejected(self):
-        with pytest.raises(ConfigurationError, match="frequency stride must be >= 1"):
+        with pytest.raises(ConfigurationError, match=r"'stride'.*only \[2, 1\]"):
             ModelConfig.from_json(json.dumps({"stride": [0, 1]}))
 
     def test_non_mirror_padding_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ModelConfig(freq_out_pad=0)
+        with pytest.raises(ConfigurationError, match="retired config field 'freq_out_pad'"):
+            ModelConfig.from_json(json.dumps({"freq_out_pad": 0}))
 
     @pytest.mark.parametrize("fields", [
-        dict(stride=(1, 1), freq_pad=-1, freq_out_pad=0),
-        dict(encoder_channels=(2, 2), decoder_channels=(2, 1), tfsm_hidden=(4,), freq_pad=-2)])
+        dict(stride=[1, 1], freq_pad=-1, freq_out_pad=0),
+        dict(encoder_channels=[2, 2], decoder_channels=[2, 1], tfsm_hidden=[4], freq_pad=-2)])
     def test_negative_freq_pad_rejected(self, fields):
-        # both ladders still mirror, so only the sign check stops the forward
-        # from failing later inside the conv kernel
-        with pytest.raises(ConfigurationError, match="freq_pad must be >= 0, got -"):
-            ModelConfig(**fields)
+        # sidecars whose ladders mirror at a negative padding: refused before
+        # any conv kernel sees them
+        with pytest.raises(ConfigurationError, match="retired config field '(stride|freq_pad)'"):
+            ModelConfig.from_json(json.dumps(fields))
 
-    @pytest.mark.parametrize("field, message", [
-        ({"pool_window": 0}, "pooling window must be >= 1"),
-        ({"stride": (2, 2)}, "time stride must be 1"),
-        ({"decoder_channels": (128, 64, 32, 16, 2)}, "single mask channel")])
-    def test_unsupported_field_rejected(self, field, message):
-        with pytest.raises(ConfigurationError, match=message):
-            ModelConfig(**field)
+    @pytest.mark.parametrize("config, decoder", [
+        (DEFAULT_CONFIG, (128, 64, 32, 16, 1)),
+        (ModelConfig(encoder_channels=(2, 2, 2, 2, 2), tfsm_hidden=(2,)), (2, 2, 2, 2, 1)),
+        (ModelConfig(encoder_channels=(3, 4), tfsm_hidden=(2,)), (3, 1))])
+    def test_decoder_channels_mirror_encoder(self, config, decoder):
+        assert config.decoder_channels == decoder
+
+    def test_fields_are_the_two_sizes(self):
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+            "encoder_channels", "tfsm_hidden"]
+        assert set(json.loads(DEFAULT_CONFIG.to_json())) == {"encoder_channels", "tfsm_hidden"}
+        for key in ("decoder_channels", "kernel", "stride", "freq_pad", "freq_out_pad",
+                    "pool_window"):
+            with pytest.raises(TypeError, match=key):
+                ModelConfig(**{key: None})
+
+    def test_eight_field_sidecar_of_small_config_loads(self):
+        # as --config-out wrote a config while its geometry, its pooling window
+        # and its decoder were fields
+        sidecar = {"encoder_channels": [4, 8], "decoder_channels": [4, 1], "kernel": [5, 2],
+                   "stride": [2, 1], "freq_pad": 2, "freq_out_pad": 1, "tfsm_hidden": [8],
+                   "pool_window": 15}
+        config = ModelConfig.from_json(json.dumps(sidecar))
+        assert config == ModelConfig(encoder_channels=(4, 8), tfsm_hidden=(8,))
 
 
 class TestParamCount:
 
     def test_degenerate_single_conv_block(self):
-        # the smallest model: the input attention, one single-channel 1x1 conv
-        # block, its attention skip, and one 1x1 deconv block emitting the mask
-        config = ModelConfig(encoder_channels=(1,), decoder_channels=(1,), kernel=(1, 1),
-                             stride=(1, 1), freq_pad=0, freq_out_pad=0, tfsm_hidden=())
+        # the smallest model: the input attention, one single-channel 5x2 conv
+        # block, its attention skip, and one 5x2 deconv block emitting the mask
+        config = ModelConfig(encoder_channels=(1,), tfsm_hidden=())
         tensors = init_weights(config, seed=0)
         groups = param_breakdown(tensors)
         c_in = tensors["enc.0.conv.w"].shape[1]
         assert c_in == NUM_CHANNELS
-        # a 1x1 weight from each input channel + one bias, two learned norm
+        # a 5x2 weight from each input channel + one bias, two learned norm
         # scalars, one slope
-        assert groups["enc.0"] == c_in + 1 + 2 + 1
-        # weights from the two concatenated channels + one bias, two norm
+        assert groups["enc.0"] == c_in * 5 * 2 + 1 + 2 + 1 == 44
+        # 5x2 weights from the two concatenated channels + one bias, two norm
         # scalars, and no slope: the last block ends in Tanh
-        assert groups["dec.0"] == 2 + 1 + 2
+        assert groups["dec.0"] == 2 * 5 * 2 + 1 + 2 == 23
 
         def attention(c):
             return sum(int(np.prod(shape_of(c))) for _, shape_of in TFCA_PARAM_SHAPES)
         assert groups["fuse"] == attention(c_in)
         assert groups["skip.0"] == attention(1)
         assert list(groups) == ["fuse", "enc.0", "skip.0", "dec.0"]
-        assert param_count_of(tensors) == attention(c_in) + (c_in + 4) + attention(1) + 5
+        assert param_count_of(tensors) == attention(c_in) + 44 + attention(1) + 23
 
     def test_deployed_config_near_reported_size(self):
         tensors = init_weights(DEFAULT_CONFIG, seed=0)
@@ -278,11 +304,11 @@ class TestForward:
         assert mask.shape == (512, 29)
 
     def test_forward_without_decoder_rejected(self):
-        # the mask comes from the last decoder block, so a decoder-less model
-        # is rejected where its configuration is built, before any forward
-        with pytest.raises(ConfigurationError, match="decoder"):
-            ModelConfig(encoder_channels=(2,), decoder_channels=(), kernel=(1, 1),
-                        stride=(1, 1), freq_pad=0, freq_out_pad=0, tfsm_hidden=())
+        # the mask comes from the last decoder block, which mirrors the
+        # encoder: a model with no encoder block is rejected where its
+        # configuration is built, before any forward
+        with pytest.raises(ConfigurationError, match="needs an encoder block"):
+            ModelConfig(encoder_channels=(), tfsm_hidden=())
 
 
 def _block_and_input(model, name, rng, frames=20):

@@ -61,6 +61,19 @@ class TestFraming:
         win = hamming_window()
         assert win.min() > 0.0 and win.max() <= 1.0
 
+    @pytest.mark.parametrize("cached", [hamming_window, dct_matrix])
+    def test_cached_array_read_only(self, rng, cached):
+        # every call returns the one cached array: a write into it would
+        # change every later analysis, so it raises and nothing changes
+        wave = rng.uniform(-1, 1, 2000).astype(F32)
+        before = stdct(wave).tobytes()
+        arr = cached()
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+        assert cached() is arr
+        assert stdct(wave).tobytes() == before
+
     # length, zeros completing the last frame, frames once padded
     @pytest.mark.parametrize("length, zeros, frames", [
         (0, 0, 0), (1, 511, 1), (100, 412, 1), (512, 0, 1), (513, 127, 2), (639, 1, 2),

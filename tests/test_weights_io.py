@@ -15,8 +15,7 @@ from ofifnet.weights import (
     write_weights_bytes,
 )
 
-SMALL = ModelConfig(encoder_channels=(3, 4), decoder_channels=(3, 1),
-                    tfsm_hidden=(2,), pool_window=3)
+SMALL = ModelConfig(encoder_channels=(3, 4), tfsm_hidden=(2,))
 
 
 class TestRoundTrip:
