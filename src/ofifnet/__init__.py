@@ -29,7 +29,7 @@ from .model import (
     target_mask,
     weight_layout,
 )
-from .ofif import make_pseudo_frames, ofif_stack
+from .ofif import make_pseudo_frames
 
 # the analysis transform itself stays at ofifnet.stdct.stdct so the module
 # name keeps pointing at the module
@@ -46,7 +46,6 @@ from .stream import (
     CausalityReport,
     DelayReport,
     StreamState,
-    measure_delay,
     stream_flush,
     stream_push,
     verify_causality,
@@ -61,8 +60,7 @@ __all__ = [
     "DEFAULT_CONFIG", "NonFiniteInputError", "SAMPLE_RATE", "SignalTooShortError",
     "StreamClosedError", "StreamState", "UndefinedMetricError", "WINDOW_SIZE", "WavFormatError",
     "WeightError", "frame_signal", "init_weights", "istdct_ola",
-    "loss_fn", "make_pseudo_frames", "measure_delay", "ofif_stack",
-    "param_breakdown", "param_count_of", "read_weights", "si_snr",
-    "stream_flush", "stream_push", "target_mask", "verify_causality",
+    "loss_fn", "make_pseudo_frames", "param_breakdown", "param_count_of", "read_weights",
+    "si_snr", "stream_flush", "stream_push", "target_mask", "verify_causality",
     "weight_layout", "write_weights",
 ]

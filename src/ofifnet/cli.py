@@ -186,7 +186,9 @@ def cmd_stream(args) -> int:
     write_wav(args.out, enhanced)
     print(f"streamed {len(wave)} samples in {chunk}-sample chunks ({elapsed:.3f} s)")
     if report is not None:
-        print(f"algorithmic delay: {report.milliseconds:.1f} ms")
+        delay_ms = 1000.0 * stdct.ALGORITHMIC_DELAY / stdct.SAMPLE_RATE
+        print(f"algorithmic delay: {delay_ms:.1f} ms")
+        print(f"measured latency: {report.milliseconds:.1f} ms ({report.max_latency} samples)")
     print(f"wrote {args.out} ({len(enhanced)} samples)")
     return 0
 
@@ -270,8 +272,9 @@ def cmd_metrics(args) -> int:
     value = si_snr(est, ref)
     # the reference spectrum stands in for the unavailable mixture when
     # turning the two files into comparable ratio masks
-    est_mask = target_mask(stdct.stdct(est), stdct.stdct(ref))
-    ref_mask = target_mask(stdct.stdct(ref), stdct.stdct(ref))
+    ref_spec = stdct.stdct(ref)
+    est_mask = target_mask(stdct.stdct(est), ref_spec)
+    ref_mask = target_mask(ref_spec, ref_spec)
     l1 = float(np.abs(est.astype(np.float64) - ref.astype(np.float64)).mean())
     mask_mse = float(((est_mask.astype(np.float64) - ref_mask.astype(np.float64)) ** 2).mean())
     print(f"si-snr: {value:.4f} dB")

@@ -340,16 +340,12 @@ class Model:
             if got != shape:
                 raise WeightError(f"tensor {name!r} has shape {got}, expected {shape}")
         self.config = config
-        self.tensors: "OrderedDict[str, np.ndarray]" = OrderedDict(
-            (n, np.asarray(tensors[n], dtype=F32)) for n in layout)
-        self._build()
-
-    def _build(self):
-        """Each block from its own tensors; ``blocks`` lists them in plan order."""
+        # each block from its own tensors; ``blocks`` lists them in plan order
         self.blocks = []
         groups = defaultdict(list)
-        for prefix, layout, build in _block_plan(self.config):
-            block = build({name: self.tensors[f"{prefix}.{name}"] for name in layout})
+        for prefix, block_layout, build in _block_plan(config):
+            block = build({name: np.asarray(tensors[f"{prefix}.{name}"], dtype=F32)
+                           for name in block_layout})
             self.blocks.append(block)
             groups[prefix.split(".")[0]].append(block)
         (self.fuse,) = groups["fuse"]
@@ -425,14 +421,13 @@ def _run_offline(block, x: np.ndarray) -> np.ndarray:
 # training-objective and evaluation functions
 # ---------------------------------------------------------------------------
 
-def target_mask(clean_spec: np.ndarray, noisy_spec: np.ndarray,
-                eps: float = MASK_EPS) -> np.ndarray:
-    """Clamped ratio mask S*X / (X^2 + eps) in [-1, 1], matching the Tanh range."""
+def target_mask(clean_spec: np.ndarray, noisy_spec: np.ndarray) -> np.ndarray:
+    """Clamped ratio mask S*X / (X^2 + MASK_EPS) in [-1, 1], matching the Tanh range."""
     s64 = np.asarray(clean_spec, dtype=F64)
     x64 = np.asarray(noisy_spec, dtype=F64)
     if s64.shape != x64.shape:
         raise ConfigurationError(f"spectra shapes differ: {s64.shape} vs {x64.shape}")
-    return np.clip(s64 * x64 / (x64 * x64 + eps), -1.0, 1.0).astype(F32)
+    return np.clip(s64 * x64 / (x64 * x64 + MASK_EPS), -1.0, 1.0).astype(F32)
 
 
 def loss_fn(est_wave, ref_wave, est_mask, ref_mask) -> float:
@@ -444,8 +439,8 @@ def loss_fn(est_wave, ref_wave, est_mask, ref_mask) -> float:
     return float(np.abs(e - r).mean() + ((em - rm) ** 2).mean())
 
 
-def si_snr(est_wave, ref_wave, cap_db: float = SI_SNR_CAP_DB) -> float:
-    """Scale-invariant signal-to-noise ratio in dB, clipped to +-cap_db.
+def si_snr(est_wave, ref_wave) -> float:
+    """Scale-invariant signal-to-noise ratio in dB, clipped to +-SI_SNR_CAP_DB (120).
 
     Both signals are zero-meaned; the estimate is projected onto the target
     direction, so rescaling the target leaves the value unchanged.
@@ -463,8 +458,8 @@ def si_snr(est_wave, ref_wave, cap_db: float = SI_SNR_CAP_DB) -> float:
     noise = e - proj
     p_sig = float(proj @ proj)
     p_noise = float(noise @ noise)
-    if p_noise == 0.0 or (p_noise > 0 and p_sig / p_noise >= 10.0 ** (cap_db / 10.0)):
-        return cap_db
-    if p_sig == 0.0 or p_sig / p_noise <= 10.0 ** (-cap_db / 10.0):
-        return -cap_db
+    if p_noise == 0.0 or (p_noise > 0 and p_sig / p_noise >= 10.0 ** (SI_SNR_CAP_DB / 10.0)):
+        return SI_SNR_CAP_DB
+    if p_sig == 0.0 or p_sig / p_noise <= 10.0 ** (-SI_SNR_CAP_DB / 10.0):
+        return -SI_SNR_CAP_DB
     return float(10.0 * math.log10(p_sig / p_noise))

@@ -188,7 +188,7 @@ class Gru:
             raise ConfigurationError(
                 f"inconsistent GRU shapes: w_in {[w.shape for w in w_in]}, "
                 f"w_rec {[u.shape for u in w_rec]}, bias {[b.shape for b in bias]}")
-        self.hidden, self.input_size = h, d
+        self.hidden = h
         self.w_in = np.stack([w.T for w in w_in])[:, None]                # (D, 1, d, 3h)
         self._w_rec = np.stack([u.T for u in w_rec])[:, None]             # (D, 1, h, 3h)
         bias = np.stack(bias)[:, None, None]                              # (D, 1, 1, 3h)

@@ -51,7 +51,8 @@ def ofif_stack_frames(raw_frames: np.ndarray) -> np.ndarray:
     All 4n windowed members go through one transform product. Each column
     of it is the same dot products whatever n is, and the tests hold a
     stream's calls byte-identical however its frames were grouped.
-    Channel 0 equals the plain spectrogram bit for bit.
+    Channel 0 equals the plain spectrogram bit for bit, and column t sees
+    raw frame t alone: no look-ahead beyond plain analysis.
     """
     raw_frames = np.asarray(raw_frames, dtype=F32)
     if raw_frames.ndim != 2 or raw_frames.shape[0] != stdct.WINDOW_SIZE:
@@ -63,12 +64,3 @@ def ofif_stack_frames(raw_frames: np.ndarray) -> np.ndarray:
     spec = stdct.dct_frames(windowed).reshape(stdct.DCT_SIZE, NUM_CHANNELS, n)
     return np.ascontiguousarray(spec.transpose(1, 0, 2))
 
-
-def ofif_stack(wave: np.ndarray) -> np.ndarray:
-    """Full fusion stack of a waveform: (4, 512, T) with T the complete-frame count.
-
-    No look-ahead beyond plain analysis: every channel's column t depends only
-    on samples <= t*H + W - 1, because the pseudo frames are built from the
-    current raw frame alone.
-    """
-    return ofif_stack_frames(stdct.frame_signal(wave, windowed=False))

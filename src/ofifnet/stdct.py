@@ -14,6 +14,8 @@ exactly one window (512 samples, 32 ms).
 ``hop_frames`` is the only framing and ``tail_zeros`` the one trailing-frame
 rule: a push frames its buffered samples, a flush its leftover samples plus
 the tail zeros, and the whole-utterance path the wave plus the same zeros.
+Raw frames always come from ``hop_frames``; ``frame_signal`` always windows
+them, for the plain analysis ``stdct``.
 
 ``OverlapAdd`` is the only synthesis: it holds one window of pending sums, so
 its memory does not grow with the signal, and each ``add`` of n frames
@@ -86,22 +88,18 @@ def tail_zeros(n_samples: int) -> int:
     return (WINDOW_SIZE - n_samples) % HOP_SIZE
 
 
-def frame_signal(wave: np.ndarray, *, windowed: bool = True) -> np.ndarray:
-    """Slice a waveform into its complete hop-spaced frames, columns ordered by time.
+def frame_signal(wave: np.ndarray) -> np.ndarray:
+    """Slice a waveform into its complete hop-spaced frames, each Hamming-windowed.
 
-    Returns (W, T) float32 with T = 1 + floor((len - W) / H). Frame t covers
-    samples t*H .. t*H + W - 1 only; nothing is padded. When ``windowed``,
-    each frame is multiplied by the Hamming window; otherwise the result is
-    a read-only view of the waveform.
+    Returns (W, T) float32 with T = 1 + floor((len - W) / H), columns
+    ordered by time. Frame t covers samples t*H .. t*H + W - 1 only; nothing
+    is padded.
     """
     wave = np.asarray(wave, dtype=F32).ravel()
     if len(wave) < WINDOW_SIZE:
         raise SignalTooShortError(
             f"signal of {len(wave)} samples is shorter than one {WINDOW_SIZE}-sample window")
-    frames = hop_frames(wave)
-    if windowed:
-        frames = (hamming_window()[:, None] * frames.astype(F64)).astype(F32)
-    return frames
+    return (hamming_window()[:, None] * hop_frames(wave).astype(F64)).astype(F32)
 
 
 def frame_signal_full(wave: np.ndarray) -> np.ndarray:

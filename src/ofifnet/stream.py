@@ -6,6 +6,10 @@ as soon as its overlap-add normalization is final — that is, once frame
 floor(n/H) has been added, which requires floor(n/H)*H + W consumed samples.
 Emission is therefore monotone, emitted samples never change, and the
 worst-case (hop-aligned) emission latency is exactly one window.
+``delay_from_emissions`` reports the latency a stream measured outside its
+flush: one window when the chunk size divides the hop, more otherwise, as a
+frame then waits for the rest of its chunk. The flush logs, at
+``info``, the stream's counters and the bytes of attention history it held.
 
 A push frames its buffered samples with ``stdct.hop_frames``, and the flush
 frames the samples left over plus ``stdct.tail_zeros`` zeros the same way,
@@ -74,13 +78,6 @@ class StreamState:
         stream (36,874 float32 values per frame at the default config)."""
         return sum(s.history_bytes for s in self._block_states.values()
                    if isinstance(s, TfcaState))
-
-    @property
-    def structural_latency(self) -> int:
-        """The latency the frame bookkeeping fixes, in samples: frame t's hop
-        block starts at t * HOP and needs input up to t * HOP + WINDOW, so it
-        is one window once a frame has come out outside the flush, else 0."""
-        return WINDOW if self.first_emission_consumed is not None else 0
 
     # -- internals ----------------------------------------------------------------
 
@@ -169,8 +166,9 @@ def stream_flush(state: StreamState, model) -> np.ndarray:
     # a flush frame of an input shorter than one hop emits past its end
     out = np.concatenate([out, state._ola.tail(max(0, state.consumed - state.emitted))])[:owed]
     state.emitted = state.consumed
-    log.info("flush: consumed=%d emitted=%d frames=%d clamped=%d",
-             state.consumed, state.emitted, state.frame_index, state._ola.clamped_samples)
+    log.info("flush: consumed=%d emitted=%d frames=%d clamped=%d history_bytes=%d",
+             state.consumed, state.emitted, state.frame_index, state._ola.clamped_samples,
+             state.history_bytes)
     return out
 
 
@@ -180,14 +178,17 @@ def stream_flush(state: StreamState, model) -> np.ndarray:
 
 @dataclass
 class DelayReport:
-    """Steady-state emission latency of a stream, in samples."""
+    """Measured steady-state emission latency of a stream, in samples.
+
+    Chunks that divide the hop measure exactly one window, the algorithmic
+    delay; other chunk sizes make frames wait for their chunk and measure more.
+    """
     max_latency: int                 # max over emissions of consumed - first sample
-    structural_latency: int          # same, from the engine's own frame bookkeeping
     first_emission_consumed: int     # input consumed when sample 0 came out
 
     @property
     def milliseconds(self) -> float:
-        return 1000.0 * self.structural_latency / stdct.SAMPLE_RATE
+        return 1000.0 * self.max_latency / stdct.SAMPLE_RATE
 
 
 def run_stream(model, wave: np.ndarray, chunk: int):
@@ -205,20 +206,7 @@ def delay_from_emissions(state: StreamState) -> DelayReport:
     if state.first_emission_consumed is None:
         raise SignalTooShortError("no steady-state emissions; feed at least one window")
     return DelayReport(max_latency=state.max_latency,
-                       structural_latency=state.structural_latency,
                        first_emission_consumed=state.first_emission_consumed)
-
-
-def measure_delay(model, num_samples: int = 4 * WINDOW, chunk: int = HOP) -> DelayReport:
-    """Measure emission latency by streaming a seeded noise burst.
-
-    With hop-aligned chunks the measured and structural latencies coincide at
-    exactly one window; coarser chunks can only inflate the measured number.
-    """
-    rng = np.random.default_rng(0)
-    wave = rng.uniform(-1.0, 1.0, num_samples).astype(F32)
-    _, state = run_stream(model, wave, chunk)
-    return delay_from_emissions(state)
 
 
 @dataclass
@@ -234,20 +222,21 @@ class CausalityReport:
     def describe(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         div = "none" if self.first_divergence is None else str(self.first_divergence)
-        lat = f" latency={self.latency.structural_latency}" if self.latency else ""
+        lat = f" latency={self.latency.max_latency}" if self.latency else ""
         return (f"{verdict} mode={self.mode} split={self.split_sample} "
                 f"prefix={self.prefix_length} first_divergence={div}{lat}")
 
 
 def verify_causality(model, seed: int, split_sample: int, num_samples: int = 13184,
-                     chunk: int = HOP, mode: str = "cumulative") -> CausalityReport:
+                     mode: str = "cumulative") -> CausalityReport:
     """Drive two inputs that agree before ``split_sample`` and compare outputs.
 
     Outputs must be bit-identical on samples 0 .. split - W - 1: one window of
     reconstruction delay is inherent, everything earlier is already final. In
     cumulative mode both runs stream; in offline mode the literal full-utterance
     attention runs, which is expected to fail this check (its attention matrix
-    sums over all frames, so early outputs see late input).
+    sums over all frames, so early outputs see late input). Streams push
+    one hop at a time, so their measured latency is exactly one window.
     """
     if not 0 <= split_sample <= num_samples:
         raise ConfigurationError("split_sample must lie within the signal")
@@ -257,8 +246,8 @@ def verify_causality(model, seed: int, split_sample: int, num_samples: int = 131
     alt[split_sample:] = rng.uniform(-1.0, 1.0, num_samples - split_sample).astype(F32)
     latency = None
     if mode == "cumulative":
-        out_a, st_a = run_stream(model, base, chunk)
-        out_b, st_b = run_stream(model, alt, chunk)
+        out_a, st_a = run_stream(model, base, HOP)
+        out_b, _ = run_stream(model, alt, HOP)
         latency = delay_from_emissions(st_a)
     else:
         out_a, _ = model.forward(base, mode=mode)

@@ -19,16 +19,17 @@ from ofifnet.model import (
     param_count_of,
     si_snr,
 )
-from ofifnet.ofif import make_pseudo_frames, ofif_stack
+from ofifnet.ofif import make_pseudo_frames, ofif_stack_frames
 from ofifnet.stdct import (
     HOP_SIZE,
     WINDOW_SIZE,
     dct_matrix,
-    frame_signal,
+    hop_frames,
     istdct_ola,
     stdct,
 )
-from ofifnet.stream import StreamState, measure_delay, stream_flush, stream_push, verify_causality
+from ofifnet.stream import (StreamState, delay_from_emissions, run_stream, stream_flush,
+                            stream_push, verify_causality)
 from ofifnet.tfca import TFCA_PARAM_SHAPES, TfcaBlock
 from tests.test_model import si_snr_loop_oracle
 
@@ -58,9 +59,11 @@ class TestAcceptance:
 
     def test_2_algorithmic_delay_exact(self, default_model):
         t0 = time.perf_counter()
-        result = measure_delay(default_model, num_samples=6 * WINDOW_SIZE, chunk=HOP_SIZE)
+        wave = np.random.default_rng(0).uniform(-1.0, 1.0, 6 * WINDOW_SIZE).astype(F32)
+        _, state = run_stream(default_model, wave, HOP_SIZE)
+        result = delay_from_emissions(state)
         assert result.max_latency == 512
-        assert result.structural_latency == 512
+        assert result.milliseconds == 32.0
         assert result.first_emission_consumed == 512
         report(2, "steady-state emission latency exactly 512 samples (32.0 ms), "
                   "first sample emitted at 512 consumed", t0)
@@ -87,7 +90,7 @@ class TestAcceptance:
         checked = 0
         for _ in range(20):
             wave = rng.uniform(-1.0, 1.0, 8000).astype(F32)
-            raw = frame_signal(wave, windowed=False)
+            raw = hop_frames(wave)
             t_dim = raw.shape[1]
             for t in range(t_dim):
                 group = make_pseudo_frames(raw[:, t])
@@ -132,7 +135,7 @@ class TestAcceptance:
             result = verify_causality(default_model, seed=2000 + i, split_sample=split,
                                       num_samples=num_samples)
             assert result.passed, f"trial {i}: {result.describe()}"
-            assert result.latency.structural_latency == WINDOW_SIZE
+            assert result.latency.max_latency == WINDOW_SIZE
             if result.first_divergence is not None:
                 margin = result.first_divergence - result.prefix_length
                 worst_margin = margin if worst_margin is None else min(worst_margin, margin)
@@ -192,7 +195,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         rng = np.random.default_rng(99)
         wave = rng.uniform(-1.0, 1.0, 16000).astype(F32)
-        stacked = ofif_stack(wave)
+        stacked = ofif_stack_frames(hop_frames(wave))
         assert stacked.shape == (4, 512, 122)
         x = default_model.fuse.forward(stacked, mode="cumulative")
         for blk in default_model.enc:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ofifnet.errors import ConfigurationError
-from ofifnet.ofif import make_pseudo_frames, ofif_stack, ofif_stack_frames
-from ofifnet.stdct import HOP_SIZE, WINDOW_SIZE, frame_signal, stdct
+from ofifnet.ofif import make_pseudo_frames, ofif_stack_frames
+from ofifnet.stdct import HOP_SIZE, WINDOW_SIZE, hop_frames, stdct
 from ofifnet.tfca import TFCA_PARAM_SHAPES, TfcaBlock
 
 F32 = np.float32
@@ -34,7 +34,7 @@ class TestMakePseudoFrames:
         # each pseudo frame must equal the real frame k hops ahead on its
         # first (4-k)*H samples, exactly, and be zero elsewhere, exactly
         wave = rng.uniform(-1, 1, 4000).astype(F32)
-        raw = frame_signal(wave, windowed=False)
+        raw = hop_frames(wave)
         t_dim = raw.shape[1]
         groups = make_pseudo_frames(raw)
         for t in range(t_dim):
@@ -49,16 +49,16 @@ class TestOfifStack:
 
     def test_channel_zero_is_plain_analysis_bit_exact(self, rng):
         wave = rng.uniform(-1, 1, 4000).astype(F32)
-        stacked = ofif_stack(wave)
+        stacked = ofif_stack_frames(hop_frames(wave))
         assert np.array_equal(stacked[0], stdct(wave))
 
     def test_one_second_shape(self, rng):
         wave = rng.uniform(-1, 1, 16000).astype(F32)
-        assert ofif_stack(wave).shape == (4, 512, 122)
+        assert ofif_stack_frames(hop_frames(wave)).shape == (4, 512, 122)
 
     def test_frame_calls_bit_identical_to_whole(self, rng):
         # the stream's n = 1 call and the offline forward's n = T call
-        raw = frame_signal(rng.uniform(-1, 1, 16000).astype(F32), windowed=False)
+        raw = hop_frames(rng.uniform(-1, 1, 16000).astype(F32))
         whole = ofif_stack_frames(raw)
         for t in range(raw.shape[1]):
             assert ofif_stack_frames(raw[:, t:t + 1])[:, :, 0].tobytes() == whole[:, :, t].tobytes()
@@ -69,7 +69,7 @@ class TestOfifStack:
         n = 1700
         wave2 = wave.copy()
         wave2[n] -= 0.25
-        a, b = ofif_stack(wave), ofif_stack(wave2)
+        a, b = ofif_stack_frames(hop_frames(wave)), ofif_stack_frames(hop_frames(wave2))
         for t in range(a.shape[2]):
             if t * HOP_SIZE + WINDOW_SIZE <= n:
                 assert np.array_equal(a[:, :, t], b[:, :, t])
@@ -90,7 +90,7 @@ class TestOfifFuse:
 
     def test_shape_preserved(self, rng):
         wave = rng.uniform(-1, 1, 2000).astype(F32)
-        stacked = ofif_stack(wave)
+        stacked = ofif_stack_frames(hop_frames(wave))
         block = random_tfca(rng, 4)
         fused = block.forward(stacked, mode="cumulative")
         assert fused.shape == stacked.shape

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from ofifnet import stream as stream_module
 from ofifnet.errors import (ConfigurationError, EngineError, NonFiniteInputError,
                             SignalTooShortError, StreamClosedError)
-from ofifnet.model import Model
+from ofifnet.model import DEFAULT_CONFIG, Model, init_weights
 from ofifnet.stdct import HOP_SIZE, WINDOW_SIZE, frame_signal_full
 from ofifnet.stream import (
     StreamState,
     delay_from_emissions,
-    measure_delay,
+    run_stream,
     stream_flush,
     stream_push,
     verify_causality,
@@ -120,6 +120,15 @@ class TestPushFlush:
         assert state.frame_index == 200
         assert (state._ola._acc.nbytes, state._ola._den.nbytes) == held
 
+    def test_flush_logs_counters_and_history_bytes(self, default_model, rng, caplog):
+        state = StreamState(default_model)
+        stream_push(state, default_model, rng.uniform(-1, 1, 700).astype(F32))
+        with caplog.at_level("INFO", logger="ofifnet.stream"):
+            stream_flush(state, default_model)
+        assert caplog.messages == [
+            f"flush: consumed=700 emitted=700 frames=3 clamped=0 "
+            f"history_bytes={3 * 36874 * 4}"]
+
     def test_heap_held_outside_histories(self, default_model, rng):
         # what a stream holds besides its attention histories, which live in
         # mappings tracemalloc does not see: at the default config 4.8 MiB
@@ -151,7 +160,7 @@ class TestPushFlush:
 
     def test_another_model_rejected_before_state_changes(self, default_model, rng):
         # same weights, but not the model the stream was opened on
-        other = Model(default_model.config, default_model.tensors)
+        other = Model(DEFAULT_CONFIG, init_weights(DEFAULT_CONFIG, seed=7))
         wave = rng.uniform(-1, 1, 1200).astype(F32)
         state = StreamState(default_model)
         got = [stream_push(state, default_model, wave[:600])]
@@ -284,7 +293,7 @@ class TestGroupedPushes:
         wave = rng.uniform(-1, 1, WINDOW_SIZE + 69 * HOP_SIZE).astype(F32)
 
         def recorded_steps(run):
-            model = Model(default_model.config, default_model.tensors)
+            model = Model(DEFAULT_CONFIG, init_weights(DEFAULT_CONFIG, seed=7))
             calls = {}
             for blk in model.blocks:
                 def step(x, state, blk=blk, step=blk.step):
@@ -319,24 +328,39 @@ class TestGroupedPushes:
         assert transient(256) - transient(64) <= 2 ** 20
 
 
+def noise_delay(model, num_samples, chunk):
+    """The latency of seeded noise streamed in ``chunk``-sample pushes."""
+    wave = np.random.default_rng(0).uniform(-1.0, 1.0, num_samples).astype(F32)
+    return delay_from_emissions(run_stream(model, wave, chunk)[1])
+
+
 class TestDelay:
 
     def test_steady_state_latency_exact_window(self, default_model):
-        report = measure_delay(default_model, num_samples=4 * WINDOW_SIZE, chunk=HOP_SIZE)
+        report = noise_delay(default_model, 4 * WINDOW_SIZE, HOP_SIZE)
         assert report.max_latency == WINDOW_SIZE == 512
-        assert report.structural_latency == WINDOW_SIZE
         assert report.first_emission_consumed == WINDOW_SIZE
         assert report.milliseconds == 32.0
 
     def test_sample_level_pushes_same_latency(self, default_model):
-        report = measure_delay(default_model, num_samples=2 * WINDOW_SIZE, chunk=1)
+        report = noise_delay(default_model, 2 * WINDOW_SIZE, 1)
         assert report.max_latency == WINDOW_SIZE
+        assert report.first_emission_consumed == WINDOW_SIZE
+
+    def test_coarse_chunks_measure_more(self, default_model):
+        # 100 ms pushes: the second push's first frame, 9, starts at sample
+        # 1152 and comes out with 3200 consumed
+        report = noise_delay(default_model, 4 * 1600, 1600)
+        assert report.max_latency == 2048
+        assert report.first_emission_consumed == 1600
+        assert report.milliseconds == 128.0
 
     def test_flush_emissions_excluded_from_steady_state(self, default_model, rng):
         wave = rng.uniform(-1, 1, 900).astype(F32)
         _, state = run_chunked(default_model, wave, HOP_SIZE)
         report = delay_from_emissions(state)
-        assert report.structural_latency == WINDOW_SIZE
+        assert report.max_latency == WINDOW_SIZE
+        assert report.first_emission_consumed == WINDOW_SIZE
 
     def test_input_shorter_than_a_window_has_no_latency(self, default_model, rng):
         # an input problem, not a configuration one
@@ -344,16 +368,18 @@ class TestDelay:
         with pytest.raises(SignalTooShortError, match="no steady-state emissions"):
             delay_from_emissions(state)
 
-    def test_structural_latency_zero_until_a_frame_comes_out(self, default_model, rng):
+    def test_latency_unset_until_a_frame_comes_out(self, default_model, rng):
         wave = rng.uniform(-1, 1, WINDOW_SIZE).astype(F32)
         short = StreamState(default_model)
-        assert short.structural_latency == 0
+        assert short.max_latency == 0 and short.first_emission_consumed is None
         stream_push(short, default_model, wave[:-1])
         stream_flush(short, default_model)
-        assert short.structural_latency == 0         # a flushed frame does not count
+        # a flushed frame does not count
+        assert short.max_latency == 0 and short.first_emission_consumed is None
         full = StreamState(default_model)
         stream_push(full, default_model, wave)
-        assert full.structural_latency == WINDOW_SIZE
+        assert full.max_latency == WINDOW_SIZE
+        assert full.first_emission_consumed == WINDOW_SIZE
 
 
 class TestVerifyCausality:
@@ -364,7 +390,7 @@ class TestVerifyCausality:
                                       num_samples=4096)
             assert report.passed, report.describe()
             assert report.prefix_length == split - WINDOW_SIZE
-            assert report.latency.structural_latency == WINDOW_SIZE
+            assert report.latency.max_latency == WINDOW_SIZE
             # outputs must actually diverge once the change can reach them
             assert report.first_divergence is not None
             assert report.first_divergence >= report.prefix_length
