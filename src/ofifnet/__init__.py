@@ -44,7 +44,6 @@ from .stdct import (
 )
 from .stream import (
     CausalityReport,
-    DelayReport,
     StreamState,
     stream_flush,
     stream_push,
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMIC_DELAY", "CausalityReport", "ConfigurationError", "DCT_SIZE",
-    "DelayReport", "EngineError", "HOP_SIZE", "Model", "ModelConfig",
+    "EngineError", "HOP_SIZE", "Model", "ModelConfig",
     "DEFAULT_CONFIG", "NonFiniteInputError", "SAMPLE_RATE", "SignalTooShortError",
     "StreamClosedError", "StreamState", "UndefinedMetricError", "WINDOW_SIZE", "WavFormatError",
     "WeightError", "frame_signal", "init_weights", "istdct_ola",

@@ -41,7 +41,7 @@ from .model import (
     si_snr,
     target_mask,
 )
-from .stream import check_finite, delay_from_emissions, run_stream, verify_causality
+from .stream import check_finite, run_stream, verify_causality
 from .tfca import MODES
 from .weights import read_weights, write_weights
 
@@ -182,13 +182,15 @@ def cmd_stream(args) -> int:
     t0 = time.perf_counter()
     enhanced, state = run_stream(model, wave, chunk)
     elapsed = time.perf_counter() - t0
-    report = delay_from_emissions(state) if args.report_latency else None
+    if args.report_latency and state.first_emission_consumed is None:
+        raise SignalTooShortError("no steady-state emissions; feed at least one window")
     write_wav(args.out, enhanced)
     print(f"streamed {len(wave)} samples in {chunk}-sample chunks ({elapsed:.3f} s)")
-    if report is not None:
+    if args.report_latency:
         delay_ms = 1000.0 * stdct.ALGORITHMIC_DELAY / stdct.SAMPLE_RATE
+        latency_ms = 1000.0 * state.max_latency / stdct.SAMPLE_RATE
         print(f"algorithmic delay: {delay_ms:.1f} ms")
-        print(f"measured latency: {report.milliseconds:.1f} ms ({report.max_latency} samples)")
+        print(f"measured latency: {latency_ms:.1f} ms ({state.max_latency} samples)")
     print(f"wrote {args.out} ({len(enhanced)} samples)")
     return 0
 

@@ -20,7 +20,7 @@ own method). Both split frames through ``nn.step_frames``.
 channels and the recurrent blocks' hidden sizes; the decoder mirrors the
 encoder. The input's 4 channels (``ofif.NUM_CHANNELS``) and 512 bins
 (``stdct.DCT_SIZE``) are fixed by the analysis, the conv geometry
-(``KERNEL`` ...) and the pooling window by the paper's network. Weight
+(``nn.KERNEL`` ...) and the pooling window by the paper's network. Weight
 tensors live in a flat name -> array mapping with
 canonical dotted paths (``enc.0.conv.w`` ...): a block's prefix, then a name
 from the tensor table of the module that owns the block (``_conv_layout``
@@ -47,6 +47,11 @@ from .nn import (
     BN_EPS,
     F32,
     F64,
+    FREQ_OUT_PAD,
+    FREQ_PAD,
+    FREQ_STRIDE,
+    KERNEL,
+    POOL_WINDOW,
     conv2d_out_freq,
     conv_frame_taps,
     deconv2d_out_freq,
@@ -60,15 +65,6 @@ from .tfsm import TFSM_PARAM_SHAPES, TfsmBlock
 
 SI_SNR_CAP_DB = 120.0
 MASK_EPS = 1e-8
-
-
-#: every conv block's 5 x 2 (frequency x time) kernel at stride 2 x 1, a conv
-#: halving the bins and a deconv doubling them; the attention's pooling frames
-KERNEL = (5, 2)
-FREQ_STRIDE = 2
-FREQ_PAD = 2
-FREQ_OUT_PAD = 1
-POOL_WINDOW = 15
 
 #: sidecar keys of settings the engine fixes or takes per call, each accepted
 #: only at the value the engine runs, so older sidecars still load; so is
@@ -102,10 +98,10 @@ class ModelConfig:
         """Frequency sizes entering each encoder block, plus the bottleneck size."""
         freqs = [stdct.DCT_SIZE]
         for _ in self.encoder_channels:
-            freqs.append(conv2d_out_freq(freqs[-1], KERNEL[0], FREQ_STRIDE, FREQ_PAD))
+            freqs.append(conv2d_out_freq(freqs[-1]))
         f = freqs[-1]
         for _ in self.encoder_channels:
-            f = deconv2d_out_freq(f, KERNEL[0], FREQ_STRIDE, FREQ_PAD, FREQ_OUT_PAD)
+            f = deconv2d_out_freq(f)
         if f != stdct.DCT_SIZE:
             raise ConfigurationError(
                 f"decoder returns {f} frequency bins instead of {stdct.DCT_SIZE}; "
@@ -176,15 +172,14 @@ def _block_plan(config: ModelConfig):
     it ends in Tanh.
     """
     enc, dec = config.encoder_channels, config.decoder_channels
-    conv = partial(_ConvBlock, stride=(FREQ_STRIDE, 1), pad_f=FREQ_PAD)
 
     def tfca(prefix, c):
         return (prefix, {n: shape_of(c) for n, shape_of in TFCA_PARAM_SHAPES},
-                partial(TfcaBlock, c, POOL_WINDOW))
+                partial(TfcaBlock, c))
 
     yield tfca("fuse", ofif.NUM_CHANNELS)
     for i, (c_in, c) in enumerate(zip((ofif.NUM_CHANNELS, *enc), enc)):
-        yield f"enc.{i}", _conv_layout((c, c_in, *KERNEL), c), conv
+        yield f"enc.{i}", _conv_layout((c, c_in, *KERNEL), c), _ConvBlock
     for j, h in enumerate(config.tfsm_hidden):
         yield (f"tfsm.{j}", {n: shape_of(enc[-1], h) for n, shape_of in TFSM_PARAM_SHAPES},
                partial(TfsmBlock, enc[-1], h))
@@ -193,7 +188,7 @@ def _block_plan(config: ModelConfig):
     for j, (d_in, c) in enumerate(zip((enc[-1], *dec), dec)):
         last = j == len(dec) - 1
         yield (f"dec.{j}", _conv_layout((d_in + enc[-1 - j], c, *KERNEL), c, tanh=last),
-               partial(conv, out_pad_f=FREQ_OUT_PAD, transposed=True))
+               partial(_ConvBlock, transposed=True))
         if not last:
             yield tfca(f"dectfca.{j}", c)
 
@@ -258,13 +253,9 @@ class _ConvBlock:
     """Causal conv (or deconv), batch norm, then PReLU, or Tanh where
     ``params`` has no ``prelu.slope``; tensors as ``_conv_layout`` names them."""
 
-    def __init__(self, params: dict[str, np.ndarray], stride, pad_f,
-                 out_pad_f=None, transposed=False):
+    def __init__(self, params: dict[str, np.ndarray], transposed=False):
         w = np.asarray(params["conv.w"], dtype=F32)
         self.b = np.asarray(params["conv.b"], dtype=F32)
-        self.stride_f = stride[0]
-        self.pad_f = pad_f
-        self.out_pad_f = out_pad_f
         self.transposed = transposed
         # the kernel held once in float32; a deconv's as the conv of its time taps
         self.w = deconv_as_time_conv(w) if transposed else w
@@ -291,10 +282,9 @@ class _ConvBlock:
     def _frames(self, frames: np.ndarray) -> np.ndarray:
         """(n + k_t - 1, C_in, F) float32 history and frames -> (n, C_out, F') float32."""
         if self.transposed:
-            y = deconv_frame_taps(frames, self.w, len(self.b),
-                                  self.stride_f, self.pad_f, self.out_pad_f)
+            y = deconv_frame_taps(frames, self.w, len(self.b))
         else:
-            y = conv_frame_taps(frames, self.w, self.stride_f, self.pad_f)
+            y = conv_frame_taps(frames, self.w, FREQ_STRIDE, FREQ_PAD)
         y += self.b[:, None]
         y *= self.bn_scale
         y += self.bn_shift
@@ -388,8 +378,7 @@ class Model:
         through a fresh stream) or ``offline``. A waveform holding NaN or
         infinity raises ``NonFiniteInputError``.
         """
-        wave = np.asarray(wave, dtype=F32).ravel()
-        stream.check_finite(wave)
+        wave = stream.check_finite(wave)
         n_samples = len(wave)
         if n_samples < stdct.WINDOW_SIZE:
             raise SignalTooShortError(

@@ -50,6 +50,14 @@ FRAMES_PER_PASS = 32
 #: Batch-norm epsilon of the conv blocks' evaluation-mode normalization.
 BN_EPS = 1e-5
 
+#: every conv block's 5 x 2 (frequency x time) kernel at stride 2 x 1, a conv
+#: halving the bins and a deconv doubling them; the attention's pooling frames
+KERNEL = (5, 2)
+FREQ_STRIDE = 2
+FREQ_PAD = 2
+FREQ_OUT_PAD = 1
+POOL_WINDOW = 15
+
 
 def with_history(buf: np.ndarray | None, hist: int, n: int,
                  frame_shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -83,12 +91,12 @@ def step_frames(block, x: np.ndarray, state, width: int = FRAMES_PER_PASS) -> np
 # causal 2D convolution / transposed convolution
 # ---------------------------------------------------------------------------
 
-def conv2d_out_freq(f_dim: int, k_f: int, s_f: int, pad_f: int) -> int:
-    return (f_dim + 2 * pad_f - k_f) // s_f + 1
+def conv2d_out_freq(f_dim: int) -> int:
+    return (f_dim + 2 * FREQ_PAD - KERNEL[0]) // FREQ_STRIDE + 1
 
 
-def deconv2d_out_freq(f_dim: int, k_f: int, s_f: int, pad_f: int, out_pad_f: int) -> int:
-    return (f_dim - 1) * s_f - 2 * pad_f + k_f + out_pad_f
+def deconv2d_out_freq(f_dim: int) -> int:
+    return (f_dim - 1) * FREQ_STRIDE - 2 * FREQ_PAD + KERNEL[0] + FREQ_OUT_PAD
 
 
 def conv_frame_taps(frames: np.ndarray, w: np.ndarray, s_f: int, pad_f: int) -> np.ndarray:
@@ -104,9 +112,6 @@ def conv_frame_taps(frames: np.ndarray, w: np.ndarray, s_f: int, pad_f: int) -> 
     n = t_in - k_t + 1
     fp = f_dim + 2 * pad_f
     out_f = (fp - k_f) // s_f + 1
-    if out_f < 1:
-        raise ConfigurationError(
-            f"conv produces empty frequency axis: F={f_dim} k_f={k_f} pad_f={pad_f}")
     if pad_f:
         xp = np.zeros((t_in, c_in, fp), dtype=F32)
         xp[:, :, pad_f:pad_f + f_dim] = frames
@@ -132,31 +137,25 @@ def deconv_as_time_conv(w: np.ndarray) -> np.ndarray:
     return w_time
 
 
-def deconv_frame_taps(frames: np.ndarray, w_time: np.ndarray, c_out: int,
-                      s_f: int, pad_f: int, out_pad_f: int) -> np.ndarray:
+def deconv_frame_taps(frames: np.ndarray, w_time: np.ndarray, c_out: int) -> np.ndarray:
     """Causal transposed-conv products of output frames, no bias.
 
     ``frames`` is as for ``conv_frame_taps``, ``w_time`` from
-    ``deconv_as_time_conv``; returns (n, C_out, F') float32. One conv product
-    gives the k_f frequency taps of raw frames t only (never t+1..t+k_t-1),
-    which is the trailing-frame discard that keeps the layer causal; the taps
-    then overlap-add at stride s_f along frequency.
+    ``deconv_as_time_conv`` of a ``KERNEL`` kernel; returns (n, C_out, 2F)
+    float32. One conv product gives the k_f frequency taps of raw frames t
+    only (never t+1..t+k_t-1), which is the trailing-frame discard that keeps
+    the layer causal; the taps then overlap-add at ``FREQ_STRIDE`` along
+    frequency into 2F + 3 raw bins, of which the output keeps the 2F from
+    ``FREQ_PAD`` on.
     """
     t_in, _, f_dim = frames.shape
     n = t_in - w_time.shape[3] + 1
-    k_f = w_time.shape[0] // c_out
-    raw_len = (f_dim - 1) * s_f + k_f
-    out_f = deconv2d_out_freq(f_dim, k_f, s_f, pad_f, out_pad_f)
-    if out_f < 1:
-        raise ConfigurationError(
-            f"deconv output frequency size {out_f} is not positive "
-            f"(F={f_dim} k_f={k_f} stride={s_f} pad_f={pad_f})")
+    k_f = KERNEL[0]
     taps = conv_frame_taps(frames, w_time, 1, 0).reshape(n, c_out, k_f, f_dim)
-    # output bins past the raw ones (out_pad_f > pad_f) stay zero
-    acc = np.zeros((n, c_out, max(raw_len, pad_f + out_f)), dtype=F32)
+    acc = np.zeros((n, c_out, (f_dim - 1) * FREQ_STRIDE + k_f), dtype=F32)
     for kf in range(k_f):
-        acc[:, :, kf:kf + s_f * (f_dim - 1) + 1:s_f] += taps[:, :, kf]
-    return acc[:, :, pad_f:pad_f + out_f]
+        acc[:, :, kf:kf + FREQ_STRIDE * (f_dim - 1) + 1:FREQ_STRIDE] += taps[:, :, kf]
+    return acc[:, :, FREQ_PAD:FREQ_PAD + deconv2d_out_freq(f_dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +265,15 @@ def row_softmax(scores: np.ndarray) -> np.ndarray:
 # causal pooling
 # ---------------------------------------------------------------------------
 
-def causal_pool_time(rows: np.ndarray, window: int) -> np.ndarray:
+def causal_pool_time(rows: np.ndarray) -> np.ndarray:
     """Trailing-window pooling of n frames from their per-frame reductions.
 
-    ``rows`` is (window - 1 + n, 2, width) float64, oldest first: row r holds
-    one frame's sums (``[r, 0]``) and maxes (``[r, 1]``) over a reduced axis,
-    and the first window - 1 rows are history, zeros standing in for frames
-    before the start of the stream. Returns (n, 2, width) float64: for frame
-    t the sum of rows t .. t + window - 1, added oldest first, and their max.
+    ``rows`` is (window - 1 + n, 2, width) float64, window ``POOL_WINDOW``,
+    oldest first: row r holds one frame's sums (``[r, 0]``) and maxes
+    (``[r, 1]``) over a reduced axis, and the first window - 1 rows are
+    history, zeros standing in for frames before the start of the stream.
+    Returns (n, 2, width) float64: for frame t the sum of rows
+    t .. t + window - 1, added oldest first, and their max.
     A window is the same rows in the same order however the frames were
     split into calls, so a stream pooling one frame at a time gets the bits
     of one call over the whole map. ``rows`` must be C-contiguous; the
@@ -281,10 +281,10 @@ def causal_pool_time(rows: np.ndarray, window: int) -> np.ndarray:
     reduction at n = 1.
     """
     n_rows, _, width = rows.shape
-    n = n_rows - window + 1
+    n = n_rows - POOL_WINDOW + 1
     s_row, s_stat, s_col = rows.strides
     out = np.empty((n, 2, width), dtype=F64)
     for k, reduce in enumerate((np.add, np.maximum)):
-        wins = np.ndarray((n, window, width), F64, rows, k * s_stat, (s_row, s_row, s_col))
+        wins = np.ndarray((n, POOL_WINDOW, width), F64, rows, k * s_stat, (s_row, s_row, s_col))
         reduce.reduce(wins, axis=1, out=out[:, k])
     return out

@@ -6,7 +6,7 @@ as soon as its overlap-add normalization is final — that is, once frame
 floor(n/H) has been added, which requires floor(n/H)*H + W consumed samples.
 Emission is therefore monotone, emitted samples never change, and the
 worst-case (hop-aligned) emission latency is exactly one window.
-``delay_from_emissions`` reports the latency a stream measured outside its
+``StreamState.max_latency`` is the latency a stream measured outside its
 flush: one window when the chunk size divides the hop, more otherwise, as a
 frame then waits for the rest of its chunk. The flush logs, at
 ``info``, the stream's counters and the bytes of attention history it held.
@@ -113,12 +113,16 @@ class StreamState:
         return out
 
 
-def check_finite(samples: np.ndarray) -> None:
-    """Raise ``NonFiniteInputError`` if any sample is NaN or infinite."""
+def check_finite(samples) -> np.ndarray:
+    """``samples`` as flat float32; raises ``NonFiniteInputError`` if any is
+    NaN, infinite or beyond the float32 range, which the cast makes infinite."""
+    with np.errstate(over="ignore"):
+        samples = np.asarray(samples, dtype=F32).ravel()
     bad = np.flatnonzero(~np.isfinite(samples))
     if bad.size:
         raise NonFiniteInputError(
             f"{bad.size} non-finite input sample(s), first at index {bad[0]}")
+    return samples
 
 
 def stream_push(state: StreamState, model, chunk: np.ndarray) -> np.ndarray:
@@ -131,8 +135,7 @@ def stream_push(state: StreamState, model, chunk: np.ndarray) -> np.ndarray:
     state._check_model(model)
     if state.closed:
         raise StreamClosedError("stream already flushed; no further pushes accepted")
-    chunk = np.asarray(chunk, dtype=F32).ravel()
-    check_finite(chunk)
+    chunk = check_finite(chunk)
     buf = state._buf = np.concatenate([state._buf, chunk])
     state.consumed += len(chunk)
     first = state.frame_index
@@ -173,23 +176,8 @@ def stream_flush(state: StreamState, model) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# delay measurement and causality verification
+# stream runner and causality verification
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DelayReport:
-    """Measured steady-state emission latency of a stream, in samples.
-
-    Chunks that divide the hop measure exactly one window, the algorithmic
-    delay; other chunk sizes make frames wait for their chunk and measure more.
-    """
-    max_latency: int                 # max over emissions of consumed - first sample
-    first_emission_consumed: int     # input consumed when sample 0 came out
-
-    @property
-    def milliseconds(self) -> float:
-        return 1000.0 * self.max_latency / stdct.SAMPLE_RATE
-
 
 def run_stream(model, wave: np.ndarray, chunk: int):
     """Push ``wave`` in ``chunk``-sample pieces, then flush: (output, state)."""
@@ -201,14 +189,6 @@ def run_stream(model, wave: np.ndarray, chunk: int):
     return np.concatenate(outs), state
 
 
-def delay_from_emissions(state: StreamState) -> DelayReport:
-    """The latency of a stream's emissions outside its flush."""
-    if state.first_emission_consumed is None:
-        raise SignalTooShortError("no steady-state emissions; feed at least one window")
-    return DelayReport(max_latency=state.max_latency,
-                       first_emission_consumed=state.first_emission_consumed)
-
-
 @dataclass
 class CausalityReport:
     passed: bool
@@ -216,13 +196,12 @@ class CausalityReport:
     split_sample: int
     prefix_length: int               # samples that must match: split - window
     first_divergence: int | None     # first differing output index, if any
-    latency: DelayReport | None      # measured only when streaming ran
-    num_samples: int
+    latency: int | None              # the stream's max_latency, when streaming ran
 
     def describe(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         div = "none" if self.first_divergence is None else str(self.first_divergence)
-        lat = f" latency={self.latency.max_latency}" if self.latency else ""
+        lat = "" if self.latency is None else f" latency={self.latency}"
         return (f"{verdict} mode={self.mode} split={self.split_sample} "
                 f"prefix={self.prefix_length} first_divergence={div}{lat}")
 
@@ -240,6 +219,8 @@ def verify_causality(model, seed: int, split_sample: int, num_samples: int = 131
     """
     if not 0 <= split_sample <= num_samples:
         raise ConfigurationError("split_sample must lie within the signal")
+    if num_samples < WINDOW:
+        raise SignalTooShortError(f"need at least {WINDOW} samples, got {num_samples}")
     rng = np.random.default_rng(seed)
     base = rng.uniform(-1.0, 1.0, num_samples).astype(F32)
     alt = base.copy()
@@ -248,7 +229,7 @@ def verify_causality(model, seed: int, split_sample: int, num_samples: int = 131
     if mode == "cumulative":
         out_a, st_a = run_stream(model, base, HOP)
         out_b, _ = run_stream(model, alt, HOP)
-        latency = delay_from_emissions(st_a)
+        latency = st_a.max_latency
     else:
         out_a, _ = model.forward(base, mode=mode)
         out_b, _ = model.forward(alt, mode=mode)
@@ -260,4 +241,4 @@ def verify_causality(model, seed: int, split_sample: int, num_samples: int = 131
     passed = first is None or first >= prefix
     return CausalityReport(passed=passed, mode=mode, split_sample=split_sample,
                            prefix_length=prefix, first_divergence=first,
-                           latency=latency, num_samples=num_samples)
+                           latency=latency)

@@ -58,7 +58,8 @@ import mmap
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import F32, F64, causal_pool_time, masked_softmax, row_softmax, step_frames, with_history
+from .nn import (F32, F64, POOL_WINDOW, causal_pool_time, masked_softmax, row_softmax, step_frames,
+                 with_history)
 
 MODES = ("cumulative", "offline")
 
@@ -229,11 +230,10 @@ class TfcaState:
 class TfcaBlock:
     """Attention block bound to a channel count; frequency size is inferred."""
 
-    def __init__(self, channels: int, pool_window: int, params: dict[str, np.ndarray]):
-        if channels < 1 or pool_window < 1:
-            raise ConfigurationError("attention block needs channels >= 1 and window >= 1")
+    def __init__(self, channels: int, params: dict[str, np.ndarray]):
+        if channels < 1:
+            raise ConfigurationError("attention block needs channels >= 1")
         self.channels = channels
-        self.pool_window = pool_window
         p = {name: np.asarray(params[name], dtype=F32) for name, _ in TFCA_PARAM_SHAPES}
         # each weight held once, fused: each branch's q and k together, all
         # three values in one matmul; the time q and k stay elementwise products
@@ -270,7 +270,7 @@ class TfcaBlock:
         and reductions are the same calls whatever n is.
         """
         c, f_dim, n = x.shape
-        start = self.pool_window - 1
+        start = POOL_WINDOW - 1
         if state.pool_f is not None and f_dim != state.pool_f.shape[2]:
             raise ConfigurationError(
                 f"frame has {f_dim} frequency bins, the stream started with "
@@ -298,8 +298,8 @@ class TfcaBlock:
 
     def _axis_qk(self, rows: np.ndarray, n_reduced: int, w: np.ndarray, b: np.ndarray):
         """(n, 2, width) q and k from trailing-window avg and max pooling."""
-        pooled = causal_pool_time(rows, self.pool_window)
-        pooled[:, 0] /= self.pool_window * n_reduced
+        pooled = causal_pool_time(rows)
+        pooled[:, 0] /= POOL_WINDOW * n_reduced
         return w @ pooled.astype(F32) + b
 
     # -- the cumulative realization: the one n-frame step ------------------------

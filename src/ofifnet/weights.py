@@ -17,6 +17,7 @@ configurations.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 
@@ -80,11 +81,15 @@ def read_weights_bytes(data: bytes) -> "OrderedDict[str, np.ndarray]":
     tensors: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for i in range(count):
         (name_len,) = cur.unpack("<H", f"name length of tensor {i}")
-        name = cur.take(name_len, f"name of tensor {i}").decode("utf-8")
+        try:
+            name = cur.take(name_len, f"name of tensor {i}").decode("utf-8")
+        except UnicodeDecodeError:
+            raise WeightError(f"name of tensor {i} at offset {cur.pos - name_len} "
+                              "is not valid UTF-8") from None
         (rank,) = cur.unpack("<B", f"rank of {name!r}")
         dims = cur.unpack(f"<{rank}I", f"dims of {name!r}") if rank else ()
-        n_vals = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        raw = cur.take(4 * n_vals, f"values of {name!r}")
+        # an exact integer product: int64 would wrap for dims near 2**32
+        raw = cur.take(4 * math.prod(dims), f"values of {name!r}")
         if name in tensors:
             raise WeightError(f"duplicate tensor name {name!r} at offset {cur.pos}")
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(F32)

@@ -22,14 +22,14 @@ from ofifnet.model import (
 from ofifnet.ofif import make_pseudo_frames, ofif_stack_frames
 from ofifnet.stdct import (
     HOP_SIZE,
+    SAMPLE_RATE,
     WINDOW_SIZE,
     dct_matrix,
     hop_frames,
     istdct_ola,
     stdct,
 )
-from ofifnet.stream import (StreamState, delay_from_emissions, run_stream, stream_flush,
-                            stream_push, verify_causality)
+from ofifnet.stream import StreamState, run_stream, stream_flush, stream_push, verify_causality
 from ofifnet.tfca import TFCA_PARAM_SHAPES, TfcaBlock
 from tests.test_model import si_snr_loop_oracle
 
@@ -61,10 +61,9 @@ class TestAcceptance:
         t0 = time.perf_counter()
         wave = np.random.default_rng(0).uniform(-1.0, 1.0, 6 * WINDOW_SIZE).astype(F32)
         _, state = run_stream(default_model, wave, HOP_SIZE)
-        result = delay_from_emissions(state)
-        assert result.max_latency == 512
-        assert result.milliseconds == 32.0
-        assert result.first_emission_consumed == 512
+        assert state.max_latency == 512
+        assert 1000.0 * state.max_latency / SAMPLE_RATE == 32.0
+        assert state.first_emission_consumed == 512
         report(2, "steady-state emission latency exactly 512 samples (32.0 ms), "
                   "first sample emitted at 512 consumed", t0)
 
@@ -112,7 +111,7 @@ class TestAcceptance:
             if trial % 10 == 0:
                 params = {n: rng.uniform(-0.5, 0.5, s(6)).astype(F32)
                           for n, s in TFCA_PARAM_SHAPES}
-                block = TfcaBlock(6, 15, params)
+                block = TfcaBlock(6, params)
             x = rng.uniform(-2.0, 2.0, (6, 24, 18)).astype(F32)
             off = block.attentions(x, mode="offline")
             cum = block.attentions(x, mode="cumulative")
@@ -135,7 +134,7 @@ class TestAcceptance:
             result = verify_causality(default_model, seed=2000 + i, split_sample=split,
                                       num_samples=num_samples)
             assert result.passed, f"trial {i}: {result.describe()}"
-            assert result.latency.max_latency == WINDOW_SIZE
+            assert result.latency == WINDOW_SIZE
             if result.first_divergence is not None:
                 margin = result.first_divergence - result.prefix_length
                 worst_margin = margin if worst_margin is None else min(worst_margin, margin)

@@ -288,6 +288,13 @@ class TestForward:
         with pytest.raises(NonFiniteInputError, match="index 1234"):
             default_model.forward(wave, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["cumulative", "offline"])
+    def test_sample_beyond_float32_range_rejected(self, default_model, rng, mode):
+        wave = rng.uniform(-1, 1, 2000)
+        wave[1234] = 1e39                       # overflows the float32 cast
+        with pytest.raises(NonFiniteInputError, match="index 1234"):
+            default_model.forward(wave, mode=mode)
+
     def test_too_short_input_rejected(self, default_model):
         with pytest.raises(SignalTooShortError):
             default_model.forward(np.zeros(100, dtype=F32))
@@ -377,11 +384,10 @@ class TestBlockForwardEqualsSteps:
                                  x.transpose(2, 0, 1)])
         if blk.transposed:
             def kernel(v):
-                return deconv_frame_taps(v, blk.w, len(blk.b), blk.stride_f,
-                                         blk.pad_f, blk.out_pad_f)
+                return deconv_frame_taps(v, blk.w, len(blk.b))
         else:
             def kernel(v):
-                return conv_frame_taps(v, blk.w, blk.stride_f, blk.pad_f)
+                return conv_frame_taps(v, blk.w, 2, 2)
         whole = kernel(frames)
         assert whole.dtype == F32
         framewise = np.concatenate([kernel(frames[t:t + k_t]) for t in range(t_dim)])

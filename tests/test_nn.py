@@ -1,11 +1,13 @@
 """Unit tests for the numeric primitives: shapes, trivial identities, causality."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from ofifnet.errors import ConfigurationError, WeightError
 from ofifnet.model import _ConvBlock
-from ofifnet.nn import BN_EPS, Gru, causal_pool_time, masked_softmax
+from ofifnet.nn import BN_EPS, Gru, causal_pool_time, conv_frame_taps, masked_softmax
 from ofifnet.tfca import TFCA_PARAM_SHAPES, TfcaBlock
 from ofifnet.tfsm import TfsmBlock
 
@@ -16,14 +18,15 @@ def fmap(rng, c, f, t):
     return rng.uniform(-1.0, 1.0, (c, f, t)).astype(F32)
 
 
-def linear_conv(w, b, stride=(2, 1), pad_f=0, out_pad_f=0, transposed=False):
+def linear_conv(w, b, transposed=False):
     """The live conv block with identity batch norm and a slope-1 PReLU, so
-    its output is the causal (transposed) convolution alone."""
+    its output is the causal (transposed) convolution alone, at the one
+    geometry the blocks run: stride 2, frequency padding 2, output padding 1."""
     c = w.shape[1] if transposed else w.shape[0]
     params = {"conv.w": w, "conv.b": b, "bn.gamma": np.full(c, np.sqrt(1.0 + BN_EPS)),
               "bn.beta": np.zeros(c), "bn.mean": np.zeros(c), "bn.var": np.ones(c),
               "prelu.slope": np.ones(c)}
-    return _ConvBlock(params, stride, pad_f, out_pad_f=out_pad_f, transposed=transposed)
+    return _ConvBlock(params, transposed=transposed)
 
 
 def conv_loop_oracle(x, w, b, s_f, pad_f):
@@ -78,14 +81,15 @@ class TestConv2dCausal:
         x = fmap(rng, 4, 512, 10)
         w = rng.uniform(-0.1, 0.1, (16, 4, 5, 2)).astype(F32)
         b = rng.uniform(-0.1, 0.1, 16).astype(F32)
-        assert linear_conv(w, b, stride=(2, 1), pad_f=2).forward(x).shape == (16, 256, 10)
+        assert linear_conv(w, b).forward(x).shape == (16, 256, 10)
 
     def test_identity_kernel(self, rng):
-        x = fmap(rng, 1, 7, 5)
-        w = np.ones((1, 1, 1, 1), dtype=F32)
-        b = np.zeros(1, dtype=F32)
-        y = linear_conv(w, b, stride=(1, 1), pad_f=0).forward(x)
-        assert np.array_equal(y, x)
+        # one unit tap at kf = 2, kt = 1 (the current frame): bin 2j to bin j
+        x = fmap(rng, 1, 14, 5)
+        w = np.zeros((1, 1, 5, 2), dtype=F32)
+        w[0, 0, 2, 1] = 1.0
+        y = linear_conv(w, np.zeros(1, dtype=F32)).forward(x)
+        assert np.array_equal(y, x[:, ::2])
 
     def test_prefix_stability_bit_exact(self, rng):
         x = fmap(rng, 3, 16, 12)
@@ -94,8 +98,8 @@ class TestConv2dCausal:
         t0 = 7
         x2 = x.copy()
         x2[:, :, t0:] += 1.0
-        y1 = linear_conv(w, b, stride=(2, 1), pad_f=2).forward(x)
-        y2 = linear_conv(w, b, stride=(2, 1), pad_f=2).forward(x2)
+        y1 = linear_conv(w, b).forward(x)
+        y2 = linear_conv(w, b).forward(x2)
         assert np.array_equal(y1[:, :, :t0], y2[:, :, :t0])
         assert not np.array_equal(y1[:, :, t0:], y2[:, :, t0:])
 
@@ -103,7 +107,7 @@ class TestConv2dCausal:
         x = fmap(rng, 3, 16, 4)
         w = rng.uniform(-1, 1, (5, 4, 5, 2)).astype(F32)   # expects 4 channels
         with pytest.raises(ConfigurationError):
-            linear_conv(w, np.zeros(5, dtype=F32), pad_f=2).forward(x)
+            linear_conv(w, np.zeros(5, dtype=F32)).forward(x)
 
     def test_frequency_ladder_composes(self, rng):
         # the deployed kernel/stride/padding halve 512 bins five times to 16
@@ -112,16 +116,26 @@ class TestConv2dCausal:
             x = fmap(rng, 2, f, 3)
             w = rng.uniform(-0.1, 0.1, (2, 2, 5, 2)).astype(F32)
             b = np.zeros(2, dtype=F32)
-            f = linear_conv(w, b, stride=(2, 1), pad_f=2).forward(x).shape[1]
+            f = linear_conv(w, b).forward(x).shape[1]
         assert f == 16
 
+    @pytest.mark.parametrize("f_dim", [11, 12])
+    def test_block_matches_float64_loop_oracle(self, rng, f_dim):
+        x = fmap(rng, 3, f_dim, 7)
+        w = rng.uniform(-0.5, 0.5, (4, 3, 5, 2)).astype(F32)
+        b = rng.uniform(-0.5, 0.5, 4).astype(F32)
+        assert_close_relative(linear_conv(w, b).forward(x), conv_loop_oracle(x, w, b, 2, 2))
+
+    # the kernel keeps its stride and padding: the blocks run it at (2, 2),
+    # a deconv's time taps at (1, 0)
     @pytest.mark.parametrize("k_t", [1, 2, 3])
     @pytest.mark.parametrize("s_f, pad_f", [(1, 0), (1, 2), (2, 2), (2, 1)])
     def test_matches_float64_loop_oracle(self, rng, s_f, pad_f, k_t):
         x = fmap(rng, 3, 11, 7)
         w = rng.uniform(-0.5, 0.5, (4, 3, 5, k_t)).astype(F32)
         b = rng.uniform(-0.5, 0.5, 4).astype(F32)
-        y = linear_conv(w, b, stride=(s_f, 1), pad_f=pad_f).forward(x)
+        frames = np.concatenate([np.zeros((k_t - 1, 3, 11), dtype=F32), x.transpose(2, 0, 1)])
+        y = (conv_frame_taps(frames, w, s_f, pad_f) + b[:, None]).transpose(1, 2, 0)
         assert_close_relative(y, conv_loop_oracle(x, w, b, s_f, pad_f))
 
 
@@ -132,7 +146,7 @@ class TestDeconv2dCausal:
         x = fmap(rng, 128, 16, 3)
         w = rng.uniform(-0.05, 0.05, (128, 128, 5, 2)).astype(F32)
         b = np.zeros(128, dtype=F32)
-        y = linear_conv(w, b, stride=(2, 1), pad_f=2, out_pad_f=1, transposed=True).forward(x)
+        y = linear_conv(w, b, transposed=True).forward(x)
         assert y.shape == (128, 32, 3)
 
     def test_mirror_back_to_512(self, rng):
@@ -140,17 +154,17 @@ class TestDeconv2dCausal:
         for _ in range(5):
             x = fmap(rng, 2, f, 2)
             w = rng.uniform(-0.1, 0.1, (2, 2, 5, 2)).astype(F32)
-            block = linear_conv(w, np.zeros(2, dtype=F32), stride=(2, 1), pad_f=2,
-                                out_pad_f=1, transposed=True)
-            y = block.forward(x)
+            y = linear_conv(w, np.zeros(2, dtype=F32), transposed=True).forward(x)
             f = y.shape[1]
         assert f == 512
 
     def test_identity_kernel(self, rng):
+        # one unit tap at kf = 2, kt = 0 (the current frame): bin j to bin 2j
         x = fmap(rng, 1, 9, 4)
-        w = np.ones((1, 1, 1, 1), dtype=F32)
-        y = linear_conv(w, np.zeros(1, dtype=F32), stride=(1, 1), transposed=True).forward(x)
-        assert np.array_equal(y, x)
+        w = np.zeros((1, 1, 5, 2), dtype=F32)
+        w[0, 0, 2, 0] = 1.0
+        y = linear_conv(w, np.zeros(1, dtype=F32), transposed=True).forward(x)
+        assert np.array_equal(y[:, ::2], x) and np.all(y[:, 1::2] == 0.0)
 
     def test_prefix_stability_bit_exact(self, rng):
         x = fmap(rng, 4, 8, 10)
@@ -159,26 +173,18 @@ class TestDeconv2dCausal:
         t0 = 6
         x2 = x.copy()
         x2[:, :, t0:] *= -1.0
-        y1 = linear_conv(w, b, pad_f=2, out_pad_f=1, transposed=True).forward(x)
-        y2 = linear_conv(w, b, pad_f=2, out_pad_f=1, transposed=True).forward(x2)
+        y1 = linear_conv(w, b, transposed=True).forward(x)
+        y2 = linear_conv(w, b, transposed=True).forward(x2)
         assert np.array_equal(y1[:, :, :t0], y2[:, :, :t0])
 
-    def test_negative_output_size_rejected(self, rng):
-        x = fmap(rng, 1, 1, 2)
-        w = rng.uniform(-1, 1, (1, 1, 5, 2)).astype(F32)
-        block = linear_conv(w, np.zeros(1, dtype=F32), stride=(2, 1), pad_f=3, transposed=True)
-        with pytest.raises(ConfigurationError):
-            block.forward(x)
-
+    # the oracle at the one geometry a deconv block runs
     @pytest.mark.parametrize("k_t", [1, 2, 3])
-    @pytest.mark.parametrize("s_f, pad_f, out_pad_f", [
-        (1, 0, 0), (1, 2, 0), (2, 2, 1), (2, 0, 1), (2, 1, 3)])
+    @pytest.mark.parametrize("s_f, pad_f, out_pad_f", [(2, 2, 1)])
     def test_matches_float64_loop_oracle(self, rng, s_f, pad_f, out_pad_f, k_t):
         x = fmap(rng, 3, 9, 7)
         w = rng.uniform(-0.5, 0.5, (3, 4, 5, k_t)).astype(F32)
         b = rng.uniform(-0.5, 0.5, 4).astype(F32)
-        y = linear_conv(w, b, stride=(s_f, 1), pad_f=pad_f, out_pad_f=out_pad_f,
-                        transposed=True).forward(x)
+        y = linear_conv(w, b, transposed=True).forward(x)
         assert_close_relative(y, deconv_loop_oracle(x, w, b, s_f, pad_f, out_pad_f))
 
 
@@ -327,19 +333,24 @@ class TestBiGruOverFrequency:
 
 def pointwise_block(c, gamma=None, beta=None, mean=None, var=None, slopes=None,
                     tanh=False):
-    """The live conv block with a 1x1 identity conv, so its output is its batch
+    """The live conv block with an identity conv, so its output is its batch
     norm and activation alone; unset statistics make the batch norm the
     identity and an unset slope makes the PReLU the identity. With ``tanh``
-    the block has no PReLU slopes and ends in Tanh."""
+    the block has no PReLU slopes and ends in Tanh. The conv's one unit tap
+    per channel, at kf = 2 and kt = 1, reads bin 2j into bin j, so ``forward``
+    feeds it each bin twice."""
     ones, zeros = np.ones(c), np.zeros(c)
-    params = {"conv.w": np.eye(c).reshape(c, c, 1, 1), "conv.b": zeros,
+    w = np.zeros((c, c, 5, 2))
+    w[:, :, 2, 1] = np.eye(c)
+    params = {"conv.w": w, "conv.b": zeros,
               "bn.gamma": np.full(c, np.sqrt(1.0 + BN_EPS)) if gamma is None else gamma,
               "bn.beta": zeros if beta is None else beta,
               "bn.mean": zeros if mean is None else mean,
               "bn.var": ones if var is None else var}
     if not tanh:
         params["prelu.slope"] = ones if slopes is None else slopes
-    return _ConvBlock(params, (1, 1), 0)
+    block = _ConvBlock(params)
+    return SimpleNamespace(forward=lambda x: block.forward(np.repeat(x, 2, axis=1)))
 
 
 class TestBatchnormEval:
@@ -444,86 +455,94 @@ def naive_causal_pool(x, window, mode, reduce):
     return out
 
 
-def project_map(x, window, picks):
+#: the attention's trailing pooling window, in frames
+WINDOW = 15
+
+
+def project_map(x, picks):
     """The live attention projection of a whole (C, F, T) map, with the
     query/key weights in ``picks`` (name -> [w_avg, w_max]) and every other
     weight zero, so that a query or key is exactly one pooled statistic."""
     c = x.shape[0]
     params = {name: np.zeros(shape_of(c)) for name, shape_of in TFCA_PARAM_SHAPES}
     params.update({name: np.asarray(w, dtype=np.float64) for name, w in picks.items()})
-    block = TfcaBlock(c, window, params)
+    block = TfcaBlock(c, params)
     return block.project(x, block.init_state())
 
 
 PICK = {"avg": [1.0, 0.0], "max": [0.0, 1.0]}
 
 
-def causal_pool_map(x, window, mode, reduce="channel"):
+def causal_pool_map(x, mode, reduce="channel"):
     """(C, F, T) -> (width, T) trailing-window pooling as the attention block
     runs it: over channels (the frequency branch's query) or over frequency
     (the channel branch's)."""
     if reduce == "channel":
-        _, _, qk, _ = project_map(x, window, {"fq.w": PICK[mode]})
+        _, _, qk, _ = project_map(x, {"fq.w": PICK[mode]})
     else:
-        _, _, _, qk = project_map(x, window, {"cq.w": PICK[mode]})
+        _, _, _, qk = project_map(x, {"cq.w": PICK[mode]})
     return qk[:, 0].T.astype(F32)
 
 
 def global_pool_map(x, mode):
     """(C, F, T) -> (T,) per-frame pooling over all channels and frequencies,
     as the attention block's time query takes it."""
-    _, tqk, _, _ = project_map(x, 15, {"tq.w": PICK[mode]})
+    _, tqk, _, _ = project_map(x, {"tq.w": PICK[mode]})
     return tqk[:, 0].astype(F32)
 
 
 class TestCausalPoolTime:
     """Trailing-window pooling through the live attention projection."""
 
-    def test_window_one_single_channel_identity(self, rng):
-        x = fmap(rng, 1, 5, 6)
-        assert np.array_equal(causal_pool_map(x, 1, "avg"), x[0])
+    def test_single_channel_trailing_window(self, rng):
+        # one channel: each bin pools its own last WINDOW frames, zeros before frame 0
+        x = fmap(rng, 1, 5, 20)
+        padded = np.concatenate([np.zeros((5, WINDOW - 1)), x[0]], axis=1)
+        windows = np.lib.stride_tricks.sliding_window_view(padded, WINDOW, axis=1)
+        np.testing.assert_allclose(causal_pool_map(x, "avg"), windows.mean(axis=2), atol=1e-6)
+        assert np.array_equal(causal_pool_map(x, "max"), windows.max(axis=2).astype(F32))
 
     def test_constant_input_dilution(self):
         v = 3.0
-        x = np.full((2, 4, 10), v, dtype=F32)
-        out = causal_pool_map(x, 5, "avg")
-        np.testing.assert_allclose(out[:, 4:], v, atol=1e-6)
-        np.testing.assert_allclose(out[:, 0], v / 5, atol=1e-6)
+        x = np.full((2, 4, 20), v, dtype=F32)
+        out = causal_pool_map(x, "avg")
+        np.testing.assert_allclose(out[:, WINDOW - 1:], v, atol=1e-6)
+        np.testing.assert_allclose(out[:, 0], v / WINDOW, atol=1e-6)
 
     def test_prefix_stability(self, rng):
-        x = fmap(rng, 3, 4, 12)
+        x = fmap(rng, 3, 4, 24)
         x2 = x.copy()
-        x2[:, :, 8:] -= 2.0
+        x2[:, :, 18:] -= 2.0
         for mode in ("avg", "max"):
-            a = causal_pool_map(x, 4, mode)
-            b = causal_pool_map(x2, 4, mode)
-            assert np.array_equal(a[:, :8], b[:, :8])
+            a = causal_pool_map(x, mode)
+            b = causal_pool_map(x2, mode)
+            assert np.array_equal(a[:, :18], b[:, :18])
 
     @pytest.mark.parametrize("mode", ["avg", "max"])
     @pytest.mark.parametrize("reduce", ["channel", "frequency"])
     def test_matches_naive_loop_oracle(self, rng, mode, reduce):
-        x = fmap(rng, 3, 5, 9)
-        got = causal_pool_map(x, 4, mode, reduce=reduce)
-        np.testing.assert_allclose(got, naive_causal_pool(x, 4, mode, reduce), atol=1e-6)
+        x = fmap(rng, 3, 5, 20)
+        got = causal_pool_map(x, mode, reduce=reduce)
+        np.testing.assert_allclose(got, naive_causal_pool(x, WINDOW, mode, reduce), atol=1e-6)
 
 
-def pool_rows(x, window, reduce):
-    """(window - 1 + T, 2, width) per-frame sums and maxes of a (C, F, T) map,
-    after window - 1 zero rows of history."""
+def pool_rows(x, reduce):
+    """(WINDOW - 1 + T, 2, width) per-frame sums and maxes of a (C, F, T) map,
+    after WINDOW - 1 zero rows of history."""
     frames = np.ascontiguousarray(x.transpose(2, 0, 1), dtype=np.float64)
     axis = 1 if reduce == "channel" else 2
-    rows = np.zeros((window - 1 + x.shape[2], 2, x.shape[1 if reduce == "channel" else 0]))
-    rows[window - 1:, 0] = frames.sum(axis=axis)
-    rows[window - 1:, 1] = frames.max(axis=axis)
+    rows = np.zeros((WINDOW - 1 + x.shape[2], 2, x.shape[1 if reduce == "channel" else 0]))
+    rows[WINDOW - 1:, 0] = frames.sum(axis=axis)
+    rows[WINDOW - 1:, 1] = frames.max(axis=axis)
     return rows
 
 
-def pool_in_calls(rows, window, sizes):
+def pool_in_calls(rows, sizes):
     """``causal_pool_time`` over consecutive runs of ``sizes`` frames, each
-    call given the window - 1 rows before its frames as history."""
+    call given the WINDOW - 1 rows before its frames as history."""
     outs, t = [], 0
     for n in sizes:
-        outs.append(causal_pool_time(rows[t:t + window - 1 + n], window))
+        outs.append(causal_pool_time(rows[t:t + WINDOW - 1 + n]))
         t += n
     return np.concatenate(outs)
 
@@ -541,12 +560,12 @@ class TestPoolsEqualStreamedState:
     @pytest.mark.parametrize("cf", DEPLOYED_MAPS)
     def test_causal_pool_time_bit_identical(self, rng, mode, reduce, cf):
         x = fmap(rng, *cf, 20)
-        rows = pool_rows(x, 15, reduce)
+        rows = pool_rows(x, reduce)
         k = 0 if mode == "avg" else 1
-        whole = causal_pool_time(rows, 15)[:, k]
+        whole = causal_pool_time(rows)[:, k]
         assert whole.shape == (20, rows.shape[2])
         for sizes in ([1] * 20, [7, 1, 12], [19, 1]):
-            assert pool_in_calls(rows, 15, sizes)[:, k].tobytes() == whole.tobytes()
+            assert pool_in_calls(rows, sizes)[:, k].tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("reduce", ["channel", "frequency"])
     def test_causal_pool_time_summation_order(self, rng, reduce):
@@ -555,15 +574,15 @@ class TestPoolsEqualStreamedState:
         x = fmap(rng, 4, 16, 40)
         x[:, :, 0::3] += F32(1e10)
         x[:, :, 1::3] -= F32(1e10)
-        rows = pool_rows(x, 15, reduce)
+        rows = pool_rows(x, reduce)
         oldest_first = np.empty((40, rows.shape[2]))
         for t in range(40):
             acc = rows[t, 0].copy()
-            for j in range(1, 15):
+            for j in range(1, WINDOW):
                 acc += rows[t + j, 0]
             oldest_first[t] = acc
-        assert causal_pool_time(rows, 15)[:, 0].tobytes() == oldest_first.tobytes()
-        assert pool_in_calls(rows, 15, [1] * 40)[:, 0].tobytes() == oldest_first.tobytes()
+        assert causal_pool_time(rows)[:, 0].tobytes() == oldest_first.tobytes()
+        assert pool_in_calls(rows, [1] * 40)[:, 0].tobytes() == oldest_first.tobytes()
 
     @pytest.mark.parametrize("cf", DEPLOYED_MAPS)
     def test_global_pool_cf_bit_identical(self, rng, cf):

@@ -82,7 +82,7 @@ def random_tfca(rng, channels, zero_bias=False):
         if zero_bias and name.endswith(".b"):
             arr = np.zeros_like(arr)
         params[name] = arr
-    return TfcaBlock(channels, 15, params)
+    return TfcaBlock(channels, params)
 
 
 class TestOfifFuse:

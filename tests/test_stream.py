@@ -15,7 +15,6 @@ from ofifnet.model import DEFAULT_CONFIG, Model, init_weights
 from ofifnet.stdct import HOP_SIZE, WINDOW_SIZE, frame_signal_full
 from ofifnet.stream import (
     StreamState,
-    delay_from_emissions,
     run_stream,
     stream_flush,
     stream_push,
@@ -110,6 +109,15 @@ class TestPushFlush:
         ref = [stream_push(state, default_model, c) for c in chunks]
         ref.append(stream_flush(state, default_model))
         assert np.concatenate(got).tobytes() == np.concatenate(ref).tobytes()
+
+    def test_sample_beyond_float32_range_rejected_and_forgotten(self, default_model, rng):
+        # 1e39 overflows the float32 cast: an input error that names it, no warning
+        state = StreamState(default_model)
+        stream_push(state, default_model, rng.uniform(-1, 1, 600).astype(F32))
+        before = (state.consumed, state.emitted, state.frame_index, state._buf.tobytes())
+        with pytest.raises(NonFiniteInputError, match="first at index 1"):
+            stream_push(state, default_model, np.array([0.5, 1e39, -1e39]))
+        assert (state.consumed, state.emitted, state.frame_index, state._buf.tobytes()) == before
 
     def test_overlap_add_buffer_fixed_size(self, default_model, rng):
         state = StreamState(default_model)
@@ -328,45 +336,41 @@ class TestGroupedPushes:
         assert transient(256) - transient(64) <= 2 ** 20
 
 
-def noise_delay(model, num_samples, chunk):
-    """The latency of seeded noise streamed in ``chunk``-sample pushes."""
+def noise_stream(model, num_samples, chunk):
+    """The state of seeded noise streamed in ``chunk``-sample pushes and flushed."""
     wave = np.random.default_rng(0).uniform(-1.0, 1.0, num_samples).astype(F32)
-    return delay_from_emissions(run_stream(model, wave, chunk)[1])
+    return run_stream(model, wave, chunk)[1]
 
 
 class TestDelay:
 
     def test_steady_state_latency_exact_window(self, default_model):
-        report = noise_delay(default_model, 4 * WINDOW_SIZE, HOP_SIZE)
-        assert report.max_latency == WINDOW_SIZE == 512
-        assert report.first_emission_consumed == WINDOW_SIZE
-        assert report.milliseconds == 32.0
+        state = noise_stream(default_model, 4 * WINDOW_SIZE, HOP_SIZE)
+        assert state.max_latency == WINDOW_SIZE == 512
+        assert state.first_emission_consumed == WINDOW_SIZE
 
     def test_sample_level_pushes_same_latency(self, default_model):
-        report = noise_delay(default_model, 2 * WINDOW_SIZE, 1)
-        assert report.max_latency == WINDOW_SIZE
-        assert report.first_emission_consumed == WINDOW_SIZE
+        state = noise_stream(default_model, 2 * WINDOW_SIZE, 1)
+        assert state.max_latency == WINDOW_SIZE
+        assert state.first_emission_consumed == WINDOW_SIZE
 
     def test_coarse_chunks_measure_more(self, default_model):
         # 100 ms pushes: the second push's first frame, 9, starts at sample
         # 1152 and comes out with 3200 consumed
-        report = noise_delay(default_model, 4 * 1600, 1600)
-        assert report.max_latency == 2048
-        assert report.first_emission_consumed == 1600
-        assert report.milliseconds == 128.0
+        state = noise_stream(default_model, 4 * 1600, 1600)
+        assert state.max_latency == 2048
+        assert state.first_emission_consumed == 1600
 
     def test_flush_emissions_excluded_from_steady_state(self, default_model, rng):
         wave = rng.uniform(-1, 1, 900).astype(F32)
         _, state = run_chunked(default_model, wave, HOP_SIZE)
-        report = delay_from_emissions(state)
-        assert report.max_latency == WINDOW_SIZE
-        assert report.first_emission_consumed == WINDOW_SIZE
+        assert state.max_latency == WINDOW_SIZE
+        assert state.first_emission_consumed == WINDOW_SIZE
 
     def test_input_shorter_than_a_window_has_no_latency(self, default_model, rng):
-        # an input problem, not a configuration one
+        # the flush runs the only frame, which does not count
         _, state = run_chunked(default_model, rng.uniform(-1, 1, 300).astype(F32), HOP_SIZE)
-        with pytest.raises(SignalTooShortError, match="no steady-state emissions"):
-            delay_from_emissions(state)
+        assert state.max_latency == 0 and state.first_emission_consumed is None
 
     def test_latency_unset_until_a_frame_comes_out(self, default_model, rng):
         wave = rng.uniform(-1, 1, WINDOW_SIZE).astype(F32)
@@ -390,7 +394,7 @@ class TestVerifyCausality:
                                       num_samples=4096)
             assert report.passed, report.describe()
             assert report.prefix_length == split - WINDOW_SIZE
-            assert report.latency.max_latency == WINDOW_SIZE
+            assert report.latency == WINDOW_SIZE
             # outputs must actually diverge once the change can reach them
             assert report.first_divergence is not None
             assert report.first_divergence >= report.prefix_length
@@ -406,6 +410,11 @@ class TestVerifyCausality:
         report = verify_causality(default_model, seed=1, split_sample=300,
                                   num_samples=2048)
         assert report.passed and report.prefix_length == 0
+
+    @pytest.mark.parametrize("mode", ["cumulative", "offline"])
+    def test_signal_shorter_than_a_window_rejected(self, default_model, mode):
+        with pytest.raises(SignalTooShortError):
+            verify_causality(default_model, seed=0, split_sample=100, num_samples=300, mode=mode)
 
     def test_split_outside_signal_rejected(self, default_model):
         with pytest.raises(ConfigurationError):

@@ -16,7 +16,7 @@ F32 = np.float32
 F64 = np.float64
 
 
-def make_block(rng, channels, window=15, zero_bias=False, zero_qk=False, scale=0.4):
+def make_block(rng, channels, zero_bias=False, zero_qk=False, scale=0.4):
     params = {}
     for name, shape_of in TFCA_PARAM_SHAPES:
         arr = rng.uniform(-scale, scale, shape_of(channels)).astype(F32)
@@ -25,7 +25,7 @@ def make_block(rng, channels, window=15, zero_bias=False, zero_qk=False, scale=0
         if zero_qk and name[:2] in ("tq", "tk", "fq", "fk", "cq", "ck"):
             arr = np.zeros_like(arr)
         params[name] = arr
-    return TfcaBlock(channels, window, params)
+    return TfcaBlock(channels, params)
 
 
 def pick_time_branch(rng, channels):
@@ -36,7 +36,7 @@ def pick_time_branch(rng, channels):
     out_w = np.zeros((channels, 3 * channels), dtype=F32)
     out_w[:, :channels] = np.eye(channels, dtype=F32)
     params["out.w"] = out_w
-    return TfcaBlock(channels, 15, params)
+    return TfcaBlock(channels, params)
 
 
 class TestTimeBranch:
@@ -205,7 +205,7 @@ class TestScoreUpdate:
                   for name, shape_of in TFCA_PARAM_SHAPES}
         for name in ("fq.w", "fk.w", "cq.w", "ck.w"):
             params[name] *= 100.0
-        block = TfcaBlock(4, 15, params)
+        block = TfcaBlock(4, params)
         x = rng.uniform(-1, 1, (4, 24, 10)).astype(F32)
         whole = block.step(x, block.init_state())
         state = block.init_state()

@@ -1,5 +1,6 @@
 """Binary tensor container: round trips, determinism, corruption handling."""
 
+import struct
 from collections import OrderedDict
 
 import numpy as np
@@ -72,3 +73,14 @@ class TestCorruption:
     def test_empty_truncated_header(self):
         with pytest.raises(WeightError, match="offset"):
             read_weights_bytes(MAGIC)
+
+    def test_name_not_utf8(self):
+        blob = MAGIC + struct.pack("<IH", 1, 2) + b"\xff\xfe" + struct.pack("<BI", 1, 1) + bytes(4)
+        with pytest.raises(WeightError, match="name of tensor 0 at offset 10 is not valid UTF-8"):
+            read_weights_bytes(blob)
+
+    def test_dims_whose_product_wraps_int64(self):
+        # 2**31 * 2**31 * 4 is 0 modulo 2**64: the values are counted exactly
+        blob = MAGIC + struct.pack("<IH", 1, 1) + b"a" + struct.pack("<B3I", 3, 2**31, 2**31, 4)
+        with pytest.raises(WeightError, match="needed 73786976294838206464 bytes"):
+            read_weights_bytes(blob)
